@@ -22,8 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +48,8 @@ from .synth import EvParkSpec, MachineSpec, MunicipalSpec, generate
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
 
 CONFIG_ENV_VAR = "HESSPLIT_CONFIG"
+#: Most thresholds one ``--range`` may name; each is a full dispatch run.
+MAX_RANGE_POINTS = 1000
 
 _EMS_FIELDS = {f.name for f in dataclasses.fields(EmsConfig)}
 _DEV_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
@@ -68,8 +72,14 @@ def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
         raise InvalidConfigError(f"config file {path} must hold a JSON object")
     cfg_kwargs, dev_kwargs = {}, {}
     for key, value in raw.items():
-        if key in _EMS_FIELDS:
-            cfg_kwargs[key] = EngageMode(value) if key == "sc_engage_mode" else value
+        if key == "sc_engage_mode":
+            try:
+                cfg_kwargs[key] = EngageMode(value)
+            except ValueError:
+                modes = [m.value for m in EngageMode]
+                raise InvalidConfigError(f"{key} must be one of {modes}, got {value!r}") from None
+        elif key in _EMS_FIELDS:
+            cfg_kwargs[key] = value
         elif key in _DEV_FIELDS:
             dev_kwargs[key] = value
         else:
@@ -86,18 +96,21 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, step = (float(x) for x in parts)
     except ValueError:
         raise InvalidRangeError(f"range parts must be numbers, got {text!r}") from None
-    if step <= 0.0:
-        raise InvalidRangeError(f"range step must be > 0, got {step}")
+    if not 0.0 < step < math.inf:
+        raise InvalidRangeError(f"range step must be finite and > 0, got {step}")
     if lo > hi:
         raise InvalidRangeError(f"range lo {lo} exceeds hi {hi}")
     if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
         raise InvalidRangeError(f"range bounds must be in (0, 1), got {lo}..{hi}")
-    thresholds = []
-    value = lo
-    while value <= hi + 1e-12:
-        thresholds.append(round(value, 12))
-        value += step
-    return thresholds
+    last = (hi - lo) / step + 1e-9  # index of hi, with slack for float error
+    if last >= MAX_RANGE_POINTS:
+        raise InvalidRangeError(f"range {text!r} names more than {MAX_RANGE_POINTS} thresholds")
+    return [round(lo + i * step, 12) for i in range(int(last) + 1)]
+
+
+def _warn(message, *_) -> None:
+    """Print one warning line; also stands in for ``warnings.showwarning``."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -123,11 +136,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             tail_level=args.tail_level,
         )
         if report.resolution.vrfb_only:
-            print(
-                f"warning: {profile.site_id}: {report.resolution.reason}; "
-                "transient analysis skipped",
-                file=sys.stderr,
-            )
+            _warn(f"{profile.site_id}: {report.resolution.reason}; transient analysis skipped")
         reports.append(report_to_dict(report))
     _emit_json(reports[0] if len(reports) == 1 and not args.manifest else reports, args.out)
     return 0
@@ -298,11 +307,10 @@ _HANDLERS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except HessplitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            return _HANDLERS[args.command](args)
+    except (HessplitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violations

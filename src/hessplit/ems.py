@@ -14,10 +14,10 @@ part of the behavioral contract.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, replace
+import numbers
+import sys
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
@@ -31,7 +31,7 @@ from .errors import (
     WindowOutOfRangeError,
 )
 from .metrics import NormalizedProfile, base_load_estimate
-from .profiles import SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile
+from .profiles import SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, freeze_arrays, write_csv
 from .transient import derivative
 
 
@@ -50,6 +50,21 @@ class Limiting(Enum):
     ENERGY = "Energy"
 
 
+def _require_numbers(obj) -> None:
+    """Reject a config field that does not hold a real number.
+
+    Enum fields are skipped, and a field whose default is ``None`` may hold
+    ``None``. Bools and ints beyond float range are rejected.
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(f.default, Enum) or (v is None and f.default is None):
+            continue
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or isinstance(v, int) and abs(v) > sys.float_info.max):
+            raise InvalidConfigError(f"{f.name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class EmsConfig:
     """Thresholds steering the power split.
@@ -65,6 +80,7 @@ class EmsConfig:
     sc_engage_mode: EngageMode = EngageMode.THRESHOLD_OR_DERIVATIVE
 
     def __post_init__(self):
+        _require_numbers(self)
         if not 0.0 < self.sc_threshold < 1.0:
             raise InvalidConfigError(f"sc_threshold must be in (0, 1), got {self.sc_threshold}")
         if not 0.0 < self.derivative_threshold <= 1.0:
@@ -104,6 +120,7 @@ class DeviceParams:
     vrfb_efficiency: float = 1.0
 
     def __post_init__(self):
+        _require_numbers(self)
         for name in ("vrfb_power_kw", "vrfb_energy_kwh", "vrfb_ramp_kw_per_s",
                      "sc_power_kw", "sc_energy_kwh"):
             v = getattr(self, name)
@@ -143,10 +160,7 @@ class FlagSeries:
     flag_vrfb: np.ndarray
 
     def __post_init__(self):
-        for name in ("flag_sc", "flag_vrfb"):
-            arr = np.asarray(getattr(self, name), dtype=bool).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, bool, "flag_sc", "flag_vrfb")
 
 
 def compute_flags(norm: NormalizedProfile, cfg: EmsConfig) -> FlagSeries:
@@ -193,15 +207,9 @@ class DispatchResult:
     stats: UtilizationStats
 
     def __post_init__(self):
-        for name in ("p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                     "soc_sc_kwh", "soc_vrfb_kwh"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("flag_sc", "engaged_sc"):
-            arr = np.asarray(getattr(self, name), dtype=bool).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, np.float64, "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
+                      "soc_sc_kwh", "soc_vrfb_kwh")
+        freeze_arrays(self, bool, "flag_sc", "engaged_sc")
 
     @property
     def n_steps(self) -> int:
@@ -243,7 +251,12 @@ def _sustainable_power(u: float, q: float) -> float:
         return 0.0
     if math.isinf(q):
         return u
-    m = 0
+    # The sqrt estimate is within a few steps of m while m < 2**53, and
+    # dispatch never gets near that: |p| moves by at most q per step, so m
+    # stays below about twice the step count.
+    m = int(math.sqrt(2.0 * u / q))
+    while m > 0 and q * (m * (m + 1) / 2.0) > u:
+        m -= 1
     while q * ((m + 1) * (m + 2) / 2.0) <= u:
         m += 1
     return (u + q * (m * (m + 1) / 2.0)) / (m + 1)
@@ -342,6 +355,8 @@ def dispatch(
 
     pu = norm.pu.tolist()
     n = len(pu)
+    flag_sc = compute_flags(norm, cfg).flag_sc
+    flags = flag_sc.tolist()
     if use_derivative:
         dnorm = derivative(norm).normalized.tolist()
         dnorm.append(0.0)  # final step has no upcoming change
@@ -364,15 +379,13 @@ def dispatch(
     p_vrfb_a = [0.0] * n
     soc_sc_a = [0.0] * n
     soc_v_a = [0.0] * n
-    flag_a = [False] * n
     engaged_a = [False] * n
 
-    thr = cfg.sc_threshold
     dthr = cfg.derivative_threshold
     for t in range(n):
         x = pu[t]
         p_load = x * p_max
-        flag = x > thr
+        flag = flags[t]
         engaged = flag or (use_derivative and abs(dnorm[t]) > dthr)
         recharging = x < rth
         sc_full = soc_sc >= cap_sc
@@ -411,7 +424,6 @@ def dispatch(
         p_vrfb_a[t] = p_v
         soc_sc_a[t] = soc_sc
         soc_v_a[t] = soc_v
-        flag_a[t] = flag
         engaged_a[t] = engaged
         prev_v = p_v
 
@@ -432,7 +444,7 @@ def dispatch(
         dt=dt, base_power_kw=p_max,
         p_load_kw=load, p_grid_kw=grid, p_sc_kw=sc, p_vrfb_kw=vrfb,
         soc_sc_kwh=np.asarray(soc_sc_a), soc_vrfb_kwh=np.asarray(soc_v_a),
-        flag_sc=np.asarray(flag_a), engaged_sc=np.asarray(engaged_a),
+        flag_sc=flag_sc, engaged_sc=np.asarray(engaged_a),
         recharge_threshold=rth, stats=stats,
     )
 
@@ -546,26 +558,20 @@ def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> 
     Columns: ``t,p_load_kw,p_grid_kw,p_sc_kw,p_vrfb_kw,soc_sc_kwh,
     soc_vrfb_kwh,flag_sc`` with ``t`` in seconds from the run start.
     """
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                         "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"])
-        for i in range(result.n_steps):
-            writer.writerow([
-                repr(i * result.dt),
-                repr(float(result.p_load_kw[i])),
-                repr(float(result.p_grid_kw[i])),
-                repr(float(result.p_sc_kw[i])),
-                repr(float(result.p_vrfb_kw[i])),
-                repr(float(result.soc_sc_kwh[i])),
-                repr(float(result.soc_vrfb_kwh[i])),
-                int(result.flag_sc[i]),
-            ])
-    finally:
-        if own:
-            fh.close()
+    write_csv(target, ["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
+                       "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"], (
+        [
+            repr(i * result.dt),
+            repr(float(result.p_load_kw[i])),
+            repr(float(result.p_grid_kw[i])),
+            repr(float(result.p_sc_kw[i])),
+            repr(float(result.p_vrfb_kw[i])),
+            repr(float(result.soc_sc_kwh[i])),
+            repr(float(result.soc_vrfb_kwh[i])),
+            int(result.flag_sc[i]),
+        ]
+        for i in range(result.n_steps)
+    ))
 
 
 def write_sweep_csv(
@@ -576,32 +582,14 @@ def write_sweep_csv(
     Columns: ``threshold,sc_engaged_fraction,sc_energy_share,
     vrfb_energy_share,grid_peak_kw``.
     """
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "sc_engaged_fraction", "sc_energy_share",
-                         "vrfb_energy_share", "grid_peak_kw"])
-        for thr, stats in rows:
-            writer.writerow([
-                repr(float(thr)),
-                repr(stats.sc_engaged_fraction),
-                repr(stats.sc_energy_share),
-                repr(stats.vrfb_energy_share),
-                repr(stats.grid_peak_kw),
-            ])
-    finally:
-        if own:
-            fh.close()
-
-
-def dispatch_to_csv(result: DispatchResult) -> str:
-    buf = io.StringIO()
-    write_dispatch_csv(result, buf)
-    return buf.getvalue()
-
-
-def sweep_to_csv(rows: Sequence[tuple[float, UtilizationStats]]) -> str:
-    buf = io.StringIO()
-    write_sweep_csv(rows, buf)
-    return buf.getvalue()
+    write_csv(target, ["threshold", "sc_engaged_fraction", "sc_energy_share",
+                       "vrfb_energy_share", "grid_peak_kw"], (
+        [
+            repr(float(thr)),
+            repr(stats.sc_engaged_fraction),
+            repr(stats.sc_energy_share),
+            repr(stats.vrfb_energy_share),
+            repr(stats.grid_peak_kw),
+        ]
+        for thr, stats in rows
+    ))

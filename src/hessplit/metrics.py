@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroProfileError, DegenerateBaseLoadWarning, InvalidConfigError
-from .profiles import LoadProfile
+from .profiles import LoadProfile, freeze_arrays
 
 #: Per-unit level above which samples count as "peak region" rather than base.
 PEAK_BAND_PU = 0.8
@@ -37,10 +37,7 @@ class NormalizedProfile:
     pu: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pu, dtype=np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "pu", arr)
+        freeze_arrays(self, np.float64, "pu")
 
     @property
     def n_samples(self) -> int:

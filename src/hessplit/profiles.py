@@ -43,6 +43,29 @@ GRID_TOLERANCE_S = 1e-3
 CSV_HEADER = ("timestamp", "power_kw")
 
 
+def freeze_arrays(obj, dtype, *names: str) -> None:
+    """Replace each named field of a frozen dataclass with a read-only copy."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+def write_csv(target: Union[str, Path, IO], header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header row and then ``rows`` as CSV.
+
+    A path is opened as UTF-8 with ``newline=""`` and closed again; an open
+    file is written as it is and left open.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 class Category(Enum):
     """Application categories for storage deployment."""
 
@@ -78,7 +101,8 @@ class LoadProfile:
     category_hint: Category = Category.UNKNOWN
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        freeze_arrays(self, np.float64, "samples")
+        arr = self.samples
         if arr.ndim != 1:
             raise InvalidProfileError("samples must be a one-dimensional sequence")
         if arr.size < 2:
@@ -89,9 +113,6 @@ class LoadProfile:
             raise InvalidProfileError("samples must be non-negative kilowatts")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
 
     def __eq__(self, other):
         if not isinstance(other, LoadProfile):
@@ -264,16 +285,10 @@ def parse_profile_file(
 
 def write_profile_csv(profile: LoadProfile, target: Union[str, Path, IO]) -> None:
     """Serialize a profile to the standard CSV format (full float precision)."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, p in enumerate(profile.samples):
-            writer.writerow([repr(profile.t0 + i * profile.dt), repr(float(p))])
-    finally:
-        if own:
-            fh.close()
+    write_csv(target, CSV_HEADER, (
+        [repr(profile.t0 + i * profile.dt), repr(float(p))]
+        for i, p in enumerate(profile.samples)
+    ))
 
 
 def profile_to_csv(profile: LoadProfile) -> str:

@@ -9,8 +9,6 @@ up/down switching (machines, municipal feeders).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
@@ -19,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyValuesError, InvalidConfigError, NotSymmetricHistogramError
 from .metrics import NormalizedProfile
+from .profiles import freeze_arrays, write_csv
 
 #: Default bin count for load-value histograms.
 LOAD_BINS = 100
@@ -44,10 +43,7 @@ class DerivativeSeries:
     dt: float
 
     def __post_init__(self):
-        for name in ("raw", "normalized"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, np.float64, "raw", "normalized")
 
     @property
     def n_steps(self) -> int:
@@ -82,12 +78,8 @@ class Histogram:
     symmetric: bool = False
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64).copy()
-        counts = np.asarray(self.counts, dtype=np.int64).copy()
-        edges.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
+        freeze_arrays(self, np.float64, "edges")
+        freeze_arrays(self, np.int64, "counts")
 
     @property
     def n_bins(self) -> int:
@@ -217,19 +209,7 @@ def symmetry_report(h: Histogram, tail_level: float = TAIL_LEVEL) -> SymmetryRep
 
 def write_histogram_csv(h: Histogram, target: Union[str, Path, IO]) -> None:
     """Write a histogram as ``bin_lo,bin_hi,count`` rows."""
-    own = isinstance(target, (str, Path))
-    fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts):
-            writer.writerow([repr(float(lo)), repr(float(hi)), int(c)])
-    finally:
-        if own:
-            fh.close()
-
-
-def histogram_to_csv(h: Histogram) -> str:
-    buf = io.StringIO()
-    write_histogram_csv(h, buf)
-    return buf.getvalue()
+    write_csv(target, ["bin_lo", "bin_hi", "count"], (
+        [repr(float(lo)), repr(float(hi)), int(c)]
+        for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts)
+    ))

@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hessplit import LoadProfile, parse_profile_file, write_profile_csv
-from hessplit.cli import CONFIG_ENV_VAR, _parse_range, main
+from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
+from hessplit.cli import _DEV_FIELDS, _EMS_FIELDS, CONFIG_ENV_VAR, _parse_range, main
 from hessplit.errors import InvalidRangeError
 
 
@@ -170,6 +172,64 @@ def test_dispatch_missing_config_file(capsys, profile_csv):
     assert "config file not found" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"sc_engage_mode": "Bogus"},
+    {"sc_threshold": "0.7"},
+    {"vrfb_power_kw": None},
+    {"vrfb_efficiency": [1]},
+    {"derivative_threshold": True},
+    {"vrfb_energy_kwh": 10 ** 400},
+])
+def test_dispatch_config_wrong_type(capsys, tmp_path, profile_csv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and next(iter(config)) in err
+
+
+_JSON_VALUES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats(0.0, 1.0)
+    | st.text(max_size=4) | st.sampled_from([m.value for m in EngageMode])
+    | st.lists(st.integers(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers())
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.dictionaries(
+    st.sampled_from(sorted(_EMS_FIELDS | _DEV_FIELDS) + ["sc_treshold"]), _JSON_VALUES,
+    max_size=4,
+))
+def test_no_flat_config_is_an_internal_error(capsys, tmp_path, profile_csv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    assert code in (0, 2), err
+
+
+def test_undecodable_input_exits_2(capsys, tmp_path, profile_csv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,power_kw\n0,\xff\n")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and "utf-8" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff{}")
+    code, _, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    assert code == 2 and "utf-8" in err
+
+
+def test_library_warning_uses_cli_format(capsys, tmp_path):
+    profile = LoadProfile(site_id="flat", t0=0.0, dt=1.0, samples=np.linspace(9.0, 10.0, 200))
+    path = tmp_path / "flat.csv"
+    write_profile_csv(profile, path)
+    code, out, err = run(capsys, "dispatch", str(path))
+    assert code == 0
+    assert json.loads(out)["recharge_threshold"] == 0.0
+    assert err == ("warning: profile 'flat' has no samples below 0.8 pu; "
+                   "base-load estimate degenerates to the peak\n")
+
+
 def test_dispatch_coarse_profile_rejected(capsys, tmp_path):
     profile = LoadProfile(site_id="slow", t0=0.0, dt=60.0,
                           samples=np.linspace(1.0, 10.0, 120))
@@ -193,6 +253,11 @@ def test_parse_range():
         _parse_range("0.5:0.9:0")
     with pytest.raises(InvalidRangeError):
         _parse_range("0:0.9:0.1")
+    # at most 1000 thresholds, and never a step that cannot advance
+    assert len(_parse_range("0.0005:0.9995:0.001")) == 1000
+    for text in ("0.1:0.9:1e-6", "0.5:0.9:5e-324", "0.5:0.9:inf", "0.5:0.9:nan"):
+        with pytest.raises(InvalidRangeError):
+            _parse_range(text)
 
 
 def test_sweep_stdout(capsys, profile_csv):

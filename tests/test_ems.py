@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,9 @@ from hessplit import (
 from hessplit.ems import (
     _stop_energy_sum,
     _sustainable_power,
-    dispatch_to_csv,
     resolve_recharge_threshold,
-    sweep_to_csv,
+    write_dispatch_csv,
+    write_sweep_csv,
 )
 from hessplit.errors import (
     DegenerateBaseLoadWarning,
@@ -34,7 +36,7 @@ from hessplit.errors import (
     WindowOutOfRangeError,
 )
 from hessplit.metrics import NormalizedProfile
-from oracle import naive_dispatch, naive_window_check
+from oracle import _largest_sustainable, naive_dispatch, naive_window_check
 
 
 def _norm(pu, dt=1.0, p_max=10.0):
@@ -269,7 +271,7 @@ def test_stop_energy_sum_matches_series():
 
 
 def test_sustainable_power_inverts_stop_sum():
-    for u, q in [(3.6, 2.5), (10.0, 1.0), (0.4, 2.5), (100.0, 0.3)]:
+    for u, q in [(3.6, 2.5), (10.0, 1.0), (0.4, 2.5), (100.0, 0.3), (1e6, 1e-20)]:
         p = _sustainable_power(u, q)
         assert _stop_energy_sum(p, q) <= u + 1e-9
         # a hair more power would break the budget
@@ -277,6 +279,14 @@ def test_sustainable_power_inverts_stop_sum():
     assert _sustainable_power(0.0, 1.0) == 0.0
     assert _sustainable_power(float("inf"), 1.0) == float("inf")
     assert _sustainable_power(5.0, float("inf")) == 5.0
+
+
+def test_sustainable_power_matches_oracle_scan(rng):
+    cases = [(3.6e5, 1e-6), (3.0, 1.0), (6.0, 1.0), (6.0 - 1e-15, 1.0), (0.5, 1.0),
+             (1e-300, 1.0), (5e-324, 5e-324), (1.0, 0.1), (0.3, 0.1)]
+    cases += [(10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 3)) for _ in range(300)]
+    for u, q in cases:
+        assert _sustainable_power(u, q) == _largest_sustainable(u, q), (u, q)
 
 
 # --- threshold sweep ---
@@ -378,7 +388,9 @@ def test_ups_matches_naive_scan(rng, make_profile):
 
 def test_dispatch_csv_shape():
     res = dispatch(_norm([0.5, 1.0]), EmsConfig(recharge_threshold=0.4))
-    lines = dispatch_to_csv(res).strip().splitlines()
+    buf = io.StringIO()
+    write_dispatch_csv(res, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,p_load_kw,p_grid_kw,p_sc_kw,p_vrfb_kw,soc_sc_kwh,soc_vrfb_kwh,flag_sc"
     assert len(lines) == 3
     first = lines[1].split(",")
@@ -388,7 +400,9 @@ def test_dispatch_csv_shape():
 def test_sweep_csv_shape():
     norm = _norm(np.linspace(0.0, 1.0, 150))
     rows = threshold_sweep(norm, [0.6, 0.9], NO_RECHARGE)
-    lines = sweep_to_csv(rows).strip().splitlines()
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "threshold,sc_engaged_fraction,sc_energy_share,vrfb_energy_share,grid_peak_kw"
     assert len(lines) == 3
     assert lines[1].startswith("0.6,")

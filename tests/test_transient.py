@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hessplit.errors import (
 )
 from hessplit.metrics import NormalizedProfile
 from hessplit.profiles import LoadProfile
-from hessplit.transient import histogram_to_csv
+from hessplit.transient import write_histogram_csv
 
 
 def _norm(pu, dt=1.0):
@@ -110,7 +112,9 @@ def test_histogram_conserves_mass(values, bins):
 
 def test_histogram_csv_format():
     h = histogram([0.1, 0.9], bins=2, range=(0.0, 1.0))
-    lines = histogram_to_csv(h).strip().splitlines()
+    buf = io.StringIO()
+    write_histogram_csv(h, buf)
+    lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert lines[1] == "0.0,0.5,1"
     assert lines[2] == "0.5,1.0,1"
