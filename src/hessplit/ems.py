@@ -6,10 +6,16 @@ band between the recharge threshold and the SC band; the grid is the slack
 that absorbs whatever is left — including negative residuals when the
 battery has to ramp down slower than the load drops.
 
-All dispatch arithmetic is written out step by step (no vectorization)
-because the state of charge is a genuine recurrence. The exact floating
-point expressions used per step are documented on :func:`dispatch` and are
-part of the behavioral contract.
+The exact floating point expressions used per step are documented on
+:func:`dispatch` and are part of the behavioral contract. Dispatch computes
+in numpy whatever does not depend on the state: the load in kW, the flags,
+the steep-derivative mask, each step's mode (recharge, engaged or idle) and,
+after the loop, the grid slack ``(p_load - p_sc) - p_vrfb``. numpy float64
+``*``, ``-``, ``>`` and ``<`` round and compare exactly as Python floats do,
+so these match the per-step expressions bit for bit. The state of charge
+and the VRFB ramp are a genuine recurrence, so they stay a scalar loop over
+Python floats, with each ``min``/``max`` written as a conditional that keeps
+the builtin's tie rule.
 """
 
 from __future__ import annotations
@@ -338,103 +344,142 @@ def dispatch(
         If the profile interval exceeds the supercapacitor limit (10 s);
         both engage modes place load on the SC.
     """
+    load, steep = _prep(norm, cfg)
+    return _run(norm, cfg, dev, load, steep)
+
+
+def _prep(norm: NormalizedProfile, cfg: EmsConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The inputs of a dispatch that no threshold changes.
+
+    Returns the load ``pu * P`` in kW and, in ``THRESHOLD_OR_DERIVATIVE``
+    mode, the steep-derivative mask ``|d[t]| > derivative_threshold``
+    (``False`` at the final step), else ``None``.
+    """
     if norm.dt > SC_MAX_DT_S:
         raise IncompatibleResolutionError(
             f"dt={norm.dt:g} s exceeds {SC_MAX_DT_S:g} s; supercapacitor dispatch "
             "needs finer sampling"
         )
-    rth = resolve_recharge_threshold(norm, cfg)
+    load = norm.pu * norm.base_power_kw
+    if cfg.sc_engage_mode is not EngageMode.THRESHOLD_OR_DERIVATIVE:
+        return load, None
+    steep = np.zeros(norm.n_samples, dtype=bool)
+    steep[:-1] = np.abs(derivative(norm).normalized) > cfg.derivative_threshold
+    return load, steep
 
+
+# Per-step modes of the dispatch loop (idle is 0); recharging wins over engaging.
+_ENGAGED, _RECHARGE = 1, 2
+
+
+def _run(
+    norm: NormalizedProfile,
+    cfg: EmsConfig,
+    dev: DeviceParams,
+    load: np.ndarray,
+    steep: Optional[np.ndarray],
+) -> DispatchResult:
+    """One dispatch on inputs from :func:`_prep` (the ``dispatch`` contract).
+
+    Everything that does not depend on the state is done in numpy: flags,
+    step modes and the grid slack. The loop carries only the SoC and ramp
+    recurrence. Each builtin ``min(a, b)`` of the contract is written
+    ``b if b < a else a`` and each ``max(a, b)`` as ``b if b > a else a``,
+    which is the builtin's rule (the first argument wins ties), so signed
+    zeros come out as the contract's do.
+    """
+    rth = resolve_recharge_threshold(norm, cfg)
     p_max = norm.base_power_kw
     dt = norm.dt
     step_kwh = dt / 3600.0
     q = dev.vrfb_ramp_kw_per_s * dt
     thr_kw = cfg.sc_threshold * p_max
     rth_kw = rth * p_max
-    use_derivative = cfg.sc_engage_mode is EngageMode.THRESHOLD_OR_DERIVATIVE
 
-    pu = norm.pu.tolist()
-    n = len(pu)
     flag_sc = compute_flags(norm, cfg).flag_sc
-    flags = flag_sc.tolist()
-    if use_derivative:
-        dnorm = derivative(norm).normalized.tolist()
-        dnorm.append(0.0)  # final step has no upcoming change
-    else:
-        dnorm = None
+    engaged = flag_sc if steep is None else flag_sc | steep
+    mode = engaged.astype(np.int8)  # _ENGAGED where engaged, else idle
+    mode[norm.pu < rth] = _RECHARGE
 
     cap_sc = dev.sc_energy_kwh
     cap_v = dev.vrfb_energy_kwh
     eff_sc = dev.sc_efficiency
     eff_v = dev.vrfb_efficiency
-    r_sc = dev.sc_recharge_kw
+    pow_sc = dev.sc_power_kw
+    pow_v = dev.vrfb_power_kw
+    neg_pow_v = -pow_v
+    r_sc = min(dev.sc_recharge_kw, pow_sc)  # the first two terms of the charge min
     r_v = dev.vrfb_recharge_kw
     soc_sc = dev.sc_initial_soc_fraction * cap_sc
     soc_v = dev.vrfb_initial_soc_fraction * cap_v
     prev_v = 0.0
 
-    p_load_a = [0.0] * n
-    p_grid_a = [0.0] * n
-    p_sc_a = [0.0] * n
-    p_vrfb_a = [0.0] * n
-    soc_sc_a = [0.0] * n
-    soc_v_a = [0.0] * n
-    engaged_a = [False] * n
-
-    dthr = cfg.derivative_threshold
-    for t in range(n):
-        x = pu[t]
-        p_load = x * p_max
-        flag = flags[t]
-        engaged = flag or (use_derivative and abs(dnorm[t]) > dthr)
-        recharging = x < rth
-        sc_full = soc_sc >= cap_sc
-
-        if recharging:
-            p_sc = -min(r_sc, dev.sc_power_kw, (cap_sc - soc_sc) / step_kwh / eff_sc)
-        elif engaged:
-            p_sc = min(max(p_load - thr_kw, 0.0), dev.sc_power_kw, soc_sc / step_kwh * eff_sc)
+    p_sc_a, p_v_a, soc_sc_a, soc_v_a = [], [], [], []
+    put_sc, put_v = p_sc_a.append, p_v_a.append
+    put_soc_sc, put_soc_v = soc_sc_a.append, soc_v_a.append
+    for p_load, m in zip(load.tolist(), mode.tolist()):
+        if m == _RECHARGE:
+            room = (cap_sc - soc_sc) / step_kwh / eff_sc
+            p_sc = -(room if room < r_sc else r_sc)
+            if soc_sc >= cap_sc:
+                room = (cap_v - soc_v) / step_kwh / eff_v
+                target = -(room if room < r_v else r_v)
+            else:
+                target = 0.0
         else:
-            p_sc = 0.0
+            if m == _ENGAGED:
+                p_sc = p_load - thr_kw
+                if 0.0 > p_sc:
+                    p_sc = 0.0
+                if pow_sc < p_sc:
+                    p_sc = pow_sc
+                avail = soc_sc / step_kwh * eff_sc
+                if avail < p_sc:
+                    p_sc = avail
+            else:
+                p_sc = 0.0
+            target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
+            if 0.0 > target:
+                target = 0.0
 
-        if recharging:
-            target = -min(r_v, (cap_v - soc_v) / step_kwh / eff_v) if sc_full else 0.0
-        else:
-            target = max(p_load - max(p_sc, 0.0) - rth_kw, 0.0)
-        p_v = min(target, dev.vrfb_power_kw)
-        p_v = max(p_v, -dev.vrfb_power_kw)
-        p_v = min(p_v, prev_v + q)
-        p_v = max(p_v, prev_v - q)
+        p_v = pow_v if pow_v < target else target
+        if neg_pow_v > p_v:
+            p_v = neg_pow_v
+        hi = prev_v + q
+        if hi < p_v:
+            p_v = hi
+        lo = prev_v - q
+        if lo > p_v:
+            p_v = lo
         if p_v > 0.0:
             u = soc_v / step_kwh * eff_v
             if _stop_energy_sum(p_v, q) > u:
                 p_v = _sustainable_power(u, q)
-                p_v = max(p_v, prev_v - q)
+                if lo > p_v:
+                    p_v = lo
 
-        p_grid = p_load - p_sc - p_v
+        soc = soc_sc - (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
+        if 0.0 > soc:
+            soc = 0.0
+        soc_sc = cap_sc if cap_sc < soc else soc
+        soc = soc_v - (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
+        if 0.0 > soc:
+            soc = 0.0
+        soc_v = cap_v if cap_v < soc else soc
 
-        d_sc = (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
-        d_v = (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
-        soc_sc = min(max(soc_sc - d_sc, 0.0), cap_sc)
-        soc_v = min(max(soc_v - d_v, 0.0), cap_v)
-
-        p_load_a[t] = p_load
-        p_grid_a[t] = p_grid
-        p_sc_a[t] = p_sc
-        p_vrfb_a[t] = p_v
-        soc_sc_a[t] = soc_sc
-        soc_v_a[t] = soc_v
-        engaged_a[t] = engaged
+        put_sc(p_sc)
+        put_v(p_v)
+        put_soc_sc(soc_sc)
+        put_soc_v(soc_v)
         prev_v = p_v
 
-    load = np.asarray(p_load_a)
-    grid = np.asarray(p_grid_a)
-    sc = np.asarray(p_sc_a)
-    vrfb = np.asarray(p_vrfb_a)
+    sc = np.array(p_sc_a)
+    vrfb = np.array(p_v_a)
+    grid = (load - sc) - vrfb
     load_energy = float(load.sum())
     grid_peak = float(grid.max())
     stats = UtilizationStats(
-        sc_engaged_fraction=float(np.mean(engaged_a)),
+        sc_engaged_fraction=float(np.mean(engaged)),
         sc_energy_share=float(np.clip(sc, 0.0, None).sum() / load_energy),
         vrfb_energy_share=float(np.clip(vrfb, 0.0, None).sum() / load_energy),
         grid_peak_kw=grid_peak,
@@ -443,8 +488,8 @@ def dispatch(
     return DispatchResult(
         dt=dt, base_power_kw=p_max,
         p_load_kw=load, p_grid_kw=grid, p_sc_kw=sc, p_vrfb_kw=vrfb,
-        soc_sc_kwh=np.asarray(soc_sc_a), soc_vrfb_kwh=np.asarray(soc_v_a),
-        flag_sc=flag_sc, engaged_sc=np.asarray(engaged_a),
+        soc_sc_kwh=np.array(soc_sc_a), soc_vrfb_kwh=np.array(soc_v_a),
+        flag_sc=flag_sc, engaged_sc=engaged,
         recharge_threshold=rth, stats=stats,
     )
 
@@ -459,6 +504,10 @@ def threshold_sweep(
 
     Thresholds must each lie in (0, 1) and be given in ascending order;
     rows come back in the same order. An empty list yields an empty table.
+    Each row equals ``dispatch(norm, replace(cfg, sc_threshold=t), dev).stats``.
+    The load in kW and the steep-derivative mask do not depend on the
+    threshold, so they are computed once for the whole sweep; the flags,
+    the recharge threshold and the loop run once per threshold.
     """
     prev = 0.0
     for thr in thresholds:
@@ -467,11 +516,13 @@ def threshold_sweep(
         if thr < prev:
             raise InvalidConfigError("sweep thresholds must be ascending")
         prev = thr
-    rows = []
-    for thr in thresholds:
-        result = dispatch(norm, replace(cfg, sc_threshold=thr), dev)
-        rows.append((float(thr), result.stats))
-    return rows
+    if len(thresholds) == 0:
+        return []
+    load, steep = _prep(norm, cfg)
+    return [
+        (float(thr), _run(norm, replace(cfg, sc_threshold=thr), dev, load, steep).stats)
+        for thr in thresholds
+    ]
 
 
 @dataclass(frozen=True)
@@ -511,10 +562,10 @@ def make_ups_scenario(
         raise ResolutionTooCoarseError(
             f"dt={profile.dt:g} s too coarse for outage scenarios (need < {UPS_MAX_DT_S:g} s)"
         )
-    if outage_duration_s <= 0.0:
+    if not outage_duration_s > 0.0:
         raise WindowOutOfRangeError(f"outage duration must be > 0, got {outage_duration_s}")
     span = profile.duration_s
-    if outage_start_s < 0.0 or outage_start_s + outage_duration_s > span:
+    if not (outage_start_s >= 0.0 and outage_start_s + outage_duration_s <= span):
         raise WindowOutOfRangeError(
             f"window [{outage_start_s}, {outage_start_s + outage_duration_s}) s "
             f"outside profile span [0, {span}) s"

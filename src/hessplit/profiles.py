@@ -373,18 +373,24 @@ class CatalogEntry:
 def read_catalog(manifest_path: Union[str, Path]) -> list[CatalogEntry]:
     """Read a JSON manifest listing ``{path, site_id, category_hint}`` entries."""
     manifest_path = Path(manifest_path)
-    raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedRowError(exc.lineno, f"catalog manifest is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise MalformedRowError(1, "catalog manifest must be a JSON array")
     entries = []
     for i, item in enumerate(raw):
         try:
+            if not isinstance(item, dict):
+                raise TypeError(f"expected a JSON object, got {item!r}")
+            path, site_id = item["path"], item["site_id"]
+            if not (isinstance(path, str) and isinstance(site_id, str)):
+                raise TypeError(f"path and site_id must be strings, got {path!r} and {site_id!r}")
             hint = Category(item.get("category_hint", "Unknown"))
-            entries.append(
-                CatalogEntry(path=item["path"], site_id=item["site_id"], category_hint=hint)
-            )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(i + 1, f"bad catalog entry: {exc}") from None
+        entries.append(CatalogEntry(path=path, site_id=site_id, category_hint=hint))
     return entries
 
 

@@ -18,6 +18,7 @@ signal itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +28,12 @@ from .errors import InvalidSpecError
 from .profiles import SC_MAX_DT_S, LoadProfile
 
 SECONDS_PER_DAY = 86400.0
+#: Most samples one spec may ask for: a year at 1 s.
+MAX_SAMPLES = 31_536_000
+
+
+def _n_samples(days: int, dt: float) -> int:
+    return int(round(days * SECONDS_PER_DAY / dt))
 
 
 def _check_common(days: int, dt: float, name: str) -> None:
@@ -36,6 +43,12 @@ def _check_common(days: int, dt: float, name: str) -> None:
         raise InvalidSpecError(
             f"{name}: dt must be in (0, {SC_MAX_DT_S:g}] s so outputs stay "
             f"usable for supercapacitor studies, got {dt}"
+        )
+    # days > MAX_SAMPLES already exceeds the bound, and a huge int days would
+    # overflow the float product in _n_samples
+    if days > MAX_SAMPLES or _n_samples(days, dt) > MAX_SAMPLES:
+        raise InvalidSpecError(
+            f"{name}: {days} days at dt={dt:g} s exceed {MAX_SAMPLES} samples"
         )
 
 
@@ -68,11 +81,11 @@ class MunicipalSpec:
             raise InvalidSpecError(
                 f"municipal: need 0 < base_pu < peak_pu <= 1, got {self.base_pu}/{self.peak_pu}"
             )
-        if self.noise_sigma < 0.0 or self.event_height_pu < 0.0:
+        if not (self.noise_sigma >= 0.0 and self.event_height_pu >= 0.0):
             raise InvalidSpecError("municipal: noise_sigma and event_height_pu must be >= 0")
         if not 0.0 < self.event_width_s_lo <= self.event_width_s_hi:
             raise InvalidSpecError("municipal: event widths must satisfy 0 < lo <= hi")
-        if self.scale_kw <= 0.0:
+        if not self.scale_kw > 0.0:
             raise InvalidSpecError("municipal: scale_kw must be > 0")
 
 
@@ -83,7 +96,7 @@ def gen_municipal(spec: MunicipalSpec) -> tuple[LoadProfile, list[dict]]:
     its first elevated step, width, and height.
     """
     rng = np.random.default_rng(spec.seed)
-    n = int(round(spec.days * SECONDS_PER_DAY / spec.dt))
+    n = _n_samples(spec.days, spec.dt)
     hours = (np.arange(n) * (spec.dt / 3600.0)) % 24.0
     bump = np.exp(-0.5 * ((hours - spec.peak_hour) / spec.peak_width_h) ** 2)
     level = spec.base_pu + (spec.peak_pu - spec.base_pu) * bump
@@ -148,11 +161,11 @@ class MachineSpec:
                 f"machine: need 0 < on_level <= switch_spike_level <= 1, "
                 f"got {self.on_level}/{self.switch_spike_level}"
             )
-        if self.spike_duration_s < 0.0:
-            raise InvalidSpecError("machine: spike_duration_s must be >= 0")
+        if not 0.0 <= self.spike_duration_s < math.inf:
+            raise InvalidSpecError("machine: spike_duration_s must be finite and >= 0")
         if not 0.0 < self.cycle_s_lo <= self.cycle_s_hi:
             raise InvalidSpecError("machine: cycle lengths must satisfy 0 < lo <= hi")
-        if self.scale_kw <= 0.0:
+        if not self.scale_kw > 0.0:
             raise InvalidSpecError("machine: scale_kw must be > 0")
 
 
@@ -163,7 +176,7 @@ def gen_machine(spec: MachineSpec) -> tuple[LoadProfile, list[dict]]:
     started cycle with its realized block lengths (clipped to the horizon).
     """
     rng = np.random.default_rng(spec.seed)
-    n = int(round(spec.days * SECONDS_PER_DAY / spec.dt))
+    n = _n_samples(spec.days, spec.dt)
     level = np.zeros(n)
     spike_steps_full = int(round(spec.spike_duration_s / spec.dt))
     events = []
@@ -213,14 +226,14 @@ class EvParkSpec:
 
     def __post_init__(self):
         _check_common(self.days, self.dt, "ev_park")
-        if self.arrival_rate_per_h < 0.0:
-            raise InvalidSpecError("ev_park: arrival_rate_per_h must be >= 0")
-        if self.charge_power_kw <= 0.0:
+        if not 0.0 <= self.arrival_rate_per_h < math.inf:
+            raise InvalidSpecError("ev_park: arrival_rate_per_h must be finite and >= 0")
+        if not self.charge_power_kw > 0.0:
             raise InvalidSpecError("ev_park: charge_power_kw must be > 0")
         if not 0.0 < self.constant_s_lo <= self.constant_s_hi:
             raise InvalidSpecError("ev_park: constant phase bounds must satisfy 0 < lo <= hi")
-        if self.taper_duration_s < 0.0:
-            raise InvalidSpecError("ev_park: taper_duration_s must be >= 0")
+        if not 0.0 <= self.taper_duration_s < math.inf:
+            raise InvalidSpecError("ev_park: taper_duration_s must be finite and >= 0")
 
 
 def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:
@@ -230,7 +243,7 @@ def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:
     horizon, with start step and phase lengths before horizon clipping.
     """
     rng = np.random.default_rng(spec.seed)
-    n = int(round(spec.days * SECONDS_PER_DAY / spec.dt))
+    n = _n_samples(spec.days, spec.dt)
     span_s = n * spec.dt
     samples = np.zeros(n)
     events = []

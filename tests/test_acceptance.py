@@ -189,11 +189,12 @@ def test_criterion_4_oracle_equivalence(capsys):
             res = dispatch(norm, cfg, dev)
             o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(
                 norm.pu.tolist(), dt, norm.base_power_kw, cfg, dev)
-            assert res.p_sc_kw.tolist() == o_sc
-            assert res.p_vrfb_kw.tolist() == o_v
-            assert res.p_grid_kw.tolist() == o_g
-            assert res.soc_sc_kwh.tolist() == o_ssc
-            assert res.soc_vrfb_kwh.tolist() == o_sv
+            # bytes, not ==: -0.0 == 0.0, but the trace CSV tells them apart
+            assert res.p_sc_kw.tobytes() == np.array(o_sc).tobytes()
+            assert res.p_vrfb_kw.tobytes() == np.array(o_v).tobytes()
+            assert res.p_grid_kw.tobytes() == np.array(o_g).tobytes()
+            assert res.soc_sc_kwh.tobytes() == np.array(o_ssc).tobytes()
+            assert res.soc_vrfb_kwh.tobytes() == np.array(o_sv).tobytes()
 
 
 def test_criterion_5_municipal_profile(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ def test_analyze_manifest(capsys, tmp_path, rng):
     reports = json.loads(out)
     assert [r["site_id"] for r in reports] == ["one", "two"]
     assert reports[0]["classification"]["category"] == "PS"
+
+
+@pytest.mark.parametrize("manifest", [
+    "[1]",
+    '["one.csv"]',
+    '[{"path": 3, "site_id": "a"}]',
+    '[{"path": "one.csv", "site_id": 4}]',
+    '[{"path": "one.csv"}]',
+    '[{"path": "one.csv", "site_id": "a"',
+])
+def test_analyze_malformed_manifest_exits_2(capsys, tmp_path, manifest):
+    path = tmp_path / "catalog.json"
+    path.write_text(manifest)
+    code, _, err = run(capsys, "analyze", str(path), "--manifest")
+    assert code == 2
+    assert err.startswith("error: row 1:")
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -332,6 +349,20 @@ def test_ups_window_error(capsys, tmp_path):
     assert "outside profile span" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--start", "nan", "--duration", "10"),
+    ("--start", "0", "--duration", "nan"),
+])
+def test_ups_nan_window_exits_2(capsys, tmp_path, flags):
+    profile = LoadProfile(site_id="u", t0=0.0, dt=1.0, samples=np.ones(100))
+    path = tmp_path / "u.csv"
+    write_profile_csv(profile, path)
+    code, out, err = run(capsys, "ups", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # --- synth ---
 
 def test_synth_municipal_round_trip(capsys, tmp_path):
@@ -378,6 +409,32 @@ def test_synth_bad_spec(capsys, tmp_path):
                        "--out", str(tmp_path / "x.csv"), "--days", "0")
     assert code == 2
     assert "days" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--kind", "ev_park", "--arrival-rate", "nan"),
+    ("--kind", "municipal", "--noise-sigma", "nan"),
+])
+def test_synth_nan_spec_exits_2(capsys, tmp_path, flags):
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run(capsys, "synth", *flags, "--out", str(out_csv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("flags", [("--dt", "1e-9"), ("--days", "400")])
+def test_synth_sample_count_is_bounded(capsys, tmp_path, flags):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "synth", "--kind", "municipal", *flags,
+                           "--out", str(tmp_path / "x.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceed 31536000 samples" in err
+    assert peak < 1_000_000  # rejected before any sample array exists
 
 
 def test_synth_then_analyze(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,11 +248,12 @@ def test_dispatch_matches_naive_oracle(rng):
         res = dispatch(norm, cfg, dev)
         o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(
             norm.pu.tolist(), dt, norm.base_power_kw, cfg, dev)
-        assert res.p_sc_kw.tolist() == o_sc
-        assert res.p_vrfb_kw.tolist() == o_v
-        assert res.p_grid_kw.tolist() == o_g
-        assert res.soc_sc_kwh.tolist() == o_ssc
-        assert res.soc_vrfb_kwh.tolist() == o_sv
+        # bytes, not ==: -0.0 == 0.0, but the trace CSV tells them apart
+        assert res.p_sc_kw.tobytes() == np.array(o_sc).tobytes()
+        assert res.p_vrfb_kw.tobytes() == np.array(o_v).tobytes()
+        assert res.p_grid_kw.tobytes() == np.array(o_g).tobytes()
+        assert res.soc_sc_kwh.tobytes() == np.array(o_ssc).tobytes()
+        assert res.soc_vrfb_kwh.tobytes() == np.array(o_sv).tobytes()
 
 
 # --- reserve helpers ---
@@ -316,6 +318,28 @@ def test_sweep_repeated_threshold_allowed():
     norm = _norm(np.linspace(0.0, 1.0, 150))
     rows = threshold_sweep(norm, [0.8, 0.8], NO_RECHARGE)
     assert rows[0][1] == rows[1][1]
+
+
+@pytest.mark.parametrize("mode", list(EngageMode))
+@pytest.mark.parametrize("recharge", [0.3, None])
+def test_sweep_rows_equal_dispatch_stats(rng, mode, recharge):
+    pu = rng.uniform(0.0, 1.0, size=600)
+    pu[11] = 1.0
+    norm = _norm(pu)
+    cfg = EmsConfig(recharge_threshold=recharge, sc_engage_mode=mode)
+    dev = DeviceParams(vrfb_energy_kwh=0.05, sc_energy_kwh=0.005, sc_efficiency=0.9)
+    thresholds = [0.35, 0.5, 0.5, 0.75, 0.95]
+    rows = threshold_sweep(norm, thresholds, cfg, dev)
+    assert [thr for thr, _ in rows] == thresholds
+    for thr, stats in rows:
+        assert stats == dispatch(norm, replace(cfg, sc_threshold=thr), dev).stats
+
+
+def test_sweep_rejects_coarse_profiles():
+    norm = _norm(np.linspace(0.1, 1.0, 120), dt=30.0)
+    with pytest.raises(IncompatibleResolutionError):
+        threshold_sweep(norm, [0.8], NO_RECHARGE)
+    assert threshold_sweep(norm, [], NO_RECHARGE) == []
 
 
 # --- outage scenarios ---

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hessplit import (
     normalize,
 )
 from hessplit.errors import AllZeroProfileError, InvalidSpecError
+from hessplit.synth import MAX_SAMPLES
 
 
 def test_generators_are_deterministic():
@@ -68,6 +71,43 @@ def test_spec_validation():
         EvParkSpec(arrival_rate_per_h=-1.0)
     with pytest.raises(InvalidSpecError):
         EvParkSpec(taper_duration_s=-5.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: MunicipalSpec(noise_sigma=v),
+    lambda v: MunicipalSpec(event_height_pu=v),
+    lambda v: MunicipalSpec(scale_kw=v),
+    lambda v: MachineSpec(spike_duration_s=v),
+    lambda v: MachineSpec(scale_kw=v),
+    lambda v: EvParkSpec(arrival_rate_per_h=v),
+    lambda v: EvParkSpec(charge_power_kw=v),
+    lambda v: EvParkSpec(taper_duration_s=v),
+])
+def test_spec_rejects_nan(make):
+    with pytest.raises(InvalidSpecError):
+        make(math.nan)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EvParkSpec(arrival_rate_per_h=math.inf),  # zero gaps: would never end
+    lambda: EvParkSpec(taper_duration_s=math.inf),
+    lambda: MachineSpec(spike_duration_s=math.inf),
+])
+def test_spec_rejects_unbounded_durations_and_rates(make):
+    with pytest.raises(InvalidSpecError):
+        make()
+
+
+def test_spec_sample_count_is_bounded():
+    assert MAX_SAMPLES == 365 * 86400
+    MachineSpec(days=365)  # exactly at the bound: accepted
+    for spec in (MunicipalSpec, MachineSpec, EvParkSpec):
+        with pytest.raises(InvalidSpecError):
+            spec(days=366)
+        with pytest.raises(InvalidSpecError):
+            spec(days=1, dt=1e-9)
+        with pytest.raises(InvalidSpecError):
+            spec(days=10 ** 400)  # beyond float range
 
 
 # --- municipal ---
