@@ -609,20 +609,12 @@ def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> 
     Columns: ``t,p_load_kw,p_grid_kw,p_sc_kw,p_vrfb_kw,soc_sc_kwh,
     soc_vrfb_kwh,flag_sc`` with ``t`` in seconds from the run start.
     """
+    r = result
     write_csv(target, ["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                       "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"], (
-        [
-            repr(i * result.dt),
-            repr(float(result.p_load_kw[i])),
-            repr(float(result.p_grid_kw[i])),
-            repr(float(result.p_sc_kw[i])),
-            repr(float(result.p_vrfb_kw[i])),
-            repr(float(result.soc_sc_kwh[i])),
-            repr(float(result.soc_vrfb_kwh[i])),
-            int(result.flag_sc[i]),
-        ]
-        for i in range(result.n_steps)
-    ))
+                       "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"], [
+        np.arange(r.n_steps) * r.dt, r.p_load_kw, r.p_grid_kw, r.p_sc_kw, r.p_vrfb_kw,
+        r.soc_sc_kwh, r.soc_vrfb_kwh, r.flag_sc.astype(np.int8),
+    ])
 
 
 def write_sweep_csv(
@@ -633,14 +625,10 @@ def write_sweep_csv(
     Columns: ``threshold,sc_engaged_fraction,sc_energy_share,
     vrfb_energy_share,grid_peak_kw``.
     """
-    write_csv(target, ["threshold", "sc_engaged_fraction", "sc_energy_share",
-                       "vrfb_energy_share", "grid_peak_kw"], (
-        [
-            repr(float(thr)),
-            repr(stats.sc_engaged_fraction),
-            repr(stats.sc_energy_share),
-            repr(stats.vrfb_energy_share),
-            repr(stats.grid_peak_kw),
-        ]
+    table = np.array([
+        [thr, stats.sc_engaged_fraction, stats.sc_energy_share,
+         stats.vrfb_energy_share, stats.grid_peak_kw]
         for thr, stats in rows
-    ))
+    ], dtype=np.float64).reshape(-1, 5)  # an empty sweep still has five columns
+    write_csv(target, ["threshold", "sc_engaged_fraction", "sc_energy_share",
+                       "vrfb_energy_share", "grid_peak_kw"], table.T)

@@ -4,6 +4,17 @@ The on-disk format is a UTF-8 CSV with the exact header ``timestamp,power_kw``,
 one row per sample. Timestamps are ISO-8601 or epoch seconds, strictly
 increasing on a uniform grid; powers are finite kilowatts.
 
+Parsing has two paths with one result. A seekable text source (a file opened
+by :func:`parse_profile_file`, or ``str``/``bytes`` input) is first read by
+``numpy.loadtxt`` and checked in numpy; anything that path cannot take as it
+is (ISO timestamps, quoting, a bad or odd row, a failed check) is re-read
+from the start by the row parser, which is the reference: it alone writes
+error messages, and it alone reads ISO timestamps. Other iterables of lines
+go to the row parser directly.
+
+Every CSV this package writes is rendered by :func:`csv_blocks`, a few
+thousand rows at a time, from numpy columns.
+
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
 better than 30 s, and anything coarser is battery-only territory.
@@ -15,11 +26,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,19 +63,40 @@ def freeze_arrays(obj, dtype, *names: str) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def write_csv(target: Union[str, Path, IO], header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header row and then ``rows`` as CSV.
+#: Rows per text block of :func:`csv_blocks`; bounds the memory of a render.
+CSV_BLOCK_ROWS = 4096
+
+
+def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """Yield the text of :func:`write_csv`: the header row, then blocks of
+    :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column."""
+    yield ",".join(header) + "\r\n"
+    row = ",".join(["{!r}"] * len(columns)) + "\r\n"
+    for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        e = s + CSV_BLOCK_ROWS
+        yield "".join(map(row.format, *(col[s:e].tolist() for col in columns)))
+
+
+def write_csv(
+    target: Union[str, Path, IO], header: Sequence[str], columns: Sequence[np.ndarray]
+) -> None:
+    r"""Write ``header`` and then equal-length ``columns``, row by row, as CSV.
+
+    Every field is the ``repr`` of the Python scalar ``tolist()`` gives (a
+    float at full precision, an integer as plain digits), fields are joined
+    by ``,`` and every row ends in ``\r\n``: byte for byte what ``csv.writer``
+    writes for the same ``repr`` strings, none of which needs quoting. Header
+    names are written as they are. The text comes from :func:`csv_blocks`.
 
     A path is opened as UTF-8 with ``newline=""`` and closed again; an open
     file is written as it is and left open.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, rows)
+            write_csv(fh, header, columns)
         return
-    writer = csv.writer(target)
-    writer.writerow(header)
-    writer.writerows(rows)
+    for block in csv_blocks(header, columns):
+        target.write(block)
 
 
 class Category(Enum):
@@ -156,9 +189,13 @@ class ResolutionVerdict:
 def _parse_timestamp(text: str, row_number: int) -> float:
     """Epoch seconds from an epoch literal or an ISO-8601 string."""
     try:
-        return float(text)
+        t = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(t):
+            raise MalformedRowError(row_number, f"timestamp must be finite, got {text!r}")
+        return t
     iso = text.strip()
     if iso.endswith(("Z", "z")):
         iso = iso[:-1] + "+00:00"
@@ -196,6 +233,13 @@ def parse_profile(
     The sample interval is inferred from the first two rows; every later gap
     must match it within :data:`GRID_TOLERANCE_S`.
 
+    ``str`` and ``bytes`` input and seekable text files are read with
+    ``numpy.loadtxt`` when they hold epoch-second rows that pass every check;
+    any other input, or any row that path rejects, goes through the row
+    parser from the first line. Both paths give the same profile, bit for
+    bit; the row parser is the reference for every error message and the
+    only reader of ISO timestamps.
+
     Parameters
     ----------
     source
@@ -209,12 +253,74 @@ def parse_profile(
     ------
     EmptyInputError, MalformedRowError, NonUniformGridError, NegativePowerError
     """
+    lines = _as_text_lines(source)
+    parsed = None
+    start = _start_position(lines)
+    if start is not None:
+        parsed = _parse_loadtxt(lines, clamp_negative)
+        if parsed is None:
+            lines.seek(start)
+    if parsed is None:
+        parsed = _parse_rows(lines, clamp_negative)
+    t0, dt, samples = parsed
+    return LoadProfile(
+        site_id=site_id, category_hint=category_hint, t0=t0, dt=dt, samples=samples,
+    )
+
+
+def _start_position(lines) -> Optional[int]:
+    """Where the row parser would restart after the numpy path; None: no numpy path."""
+    if not (isinstance(lines, io.TextIOBase) and lines.seekable()):
+        return None
+    try:
+        return lines.tell()
+    except OSError:  # a text file part-way through ``next()`` cannot tell
+        return None
+
+
+def _parse_loadtxt(
+    fh: IO[str], clamp_negative: bool
+) -> Optional[tuple[float, float, np.ndarray]]:
+    """``(t0, dt, samples)`` read by ``numpy.loadtxt``, or None to fall back.
+
+    None whenever the header or any row is not plain epoch-second numbers
+    that pass every check of :func:`_parse_rows`; the stream is then left
+    part-read.
+    """
+    line = fh.readline()
+    if tuple(h.strip().lstrip("\ufeff") for h in line.split(",")) != CSV_HEADER:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is the row parser's EmptyInputError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1:] != (2,) or table.shape[0] < 2 or not np.isfinite(table).all():
+        return None
+    t, p = table[:, 0], table[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails below
+        dt = t[1] - t[0]
+        if not dt > 0.0 or not (np.abs(np.diff(t) - dt) <= GRID_TOLERANCE_S).all():
+            return None
+    if clamp_negative:
+        p = np.where(p < 0.0, 0.0, p)
+    elif (p < 0.0).any():
+        return None
+    return float(t[0]), float(dt), p
+
+
+def _parse_rows(
+    source: Union[bytes, str, IO, Iterable[str]], clamp_negative: bool
+) -> tuple[float, float, np.ndarray]:
+    """``(t0, dt, samples)`` from the CSV, one row at a time, with row-numbered errors."""
     reader = csv.reader(_as_text_lines(source))
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyInputError("no header row") from None
-    header = [h.strip().lstrip("﻿") for h in header]
+    header = [h.strip().lstrip("\ufeff") for h in header]
     if tuple(header) != CSV_HEADER:
         raise MalformedRowError(1, f"header must be 'timestamp,power_kw', got {','.join(header)!r}")
 
@@ -252,17 +358,13 @@ def parse_profile(
     dt = times[1] - times[0]
     if dt <= 0.0:
         raise NonUniformGridError(f"timestamps not strictly increasing at row 3 (dt={dt})")
-    for i in range(1, len(times)):
+    for i in range(2, len(times)):  # the first gap is dt itself
         gap = times[i] - times[i - 1]
-        if abs(gap - dt) > GRID_TOLERANCE_S:
+        if not abs(gap - dt) <= GRID_TOLERANCE_S:
             raise NonUniformGridError(
                 f"row {i + 2}: gap {gap} s deviates from inferred interval {dt} s"
             )
-
-    return LoadProfile(
-        site_id=site_id, category_hint=category_hint, t0=times[0], dt=dt,
-        samples=np.array(powers),
-    )
+    return times[0], dt, np.array(powers)
 
 
 def parse_profile_file(
@@ -283,18 +385,23 @@ def parse_profile_file(
         )
 
 
+def _profile_columns(profile: LoadProfile) -> tuple[np.ndarray, np.ndarray]:
+    # t0 + i * dt for every i, bit for bit: arange's int-to-float is exact
+    return profile.t0 + np.arange(profile.n_samples) * profile.dt, profile.samples
+
+
 def write_profile_csv(profile: LoadProfile, target: Union[str, Path, IO]) -> None:
     """Serialize a profile to the standard CSV format (full float precision)."""
-    write_csv(target, CSV_HEADER, (
-        [repr(profile.t0 + i * profile.dt), repr(float(p))]
-        for i, p in enumerate(profile.samples)
-    ))
+    write_csv(target, CSV_HEADER, _profile_columns(profile))
+
+
+def profile_csv_blocks(profile: LoadProfile) -> Iterator[str]:
+    """The canonical CSV of :func:`write_profile_csv`, as :func:`csv_blocks`."""
+    return csv_blocks(CSV_HEADER, _profile_columns(profile))
 
 
 def profile_to_csv(profile: LoadProfile) -> str:
-    buf = io.StringIO()
-    write_profile_csv(profile, buf)
-    return buf.getvalue()
+    return "".join(profile_csv_blocks(profile))
 
 
 def validate_resolution(profile: LoadProfile) -> ResolutionVerdict:

@@ -23,7 +23,13 @@ import numpy as np
 from . import __version__
 from .classify import ClassificationReport, Relevance, RuleThresholds, classify
 from .metrics import ProfileMetrics, compute_metrics, normalize
-from .profiles import Category, LoadProfile, ResolutionVerdict, profile_to_csv, validate_resolution
+from .profiles import (
+    Category,
+    LoadProfile,
+    ResolutionVerdict,
+    profile_csv_blocks,
+    validate_resolution,
+)
 from .transient import (
     DERIVATIVE_BINS,
     LOAD_BINS,
@@ -87,7 +93,7 @@ def analyze_profile(
     return AnalysisReport(
         site_id=profile.site_id,
         tool_version=__version__,
-        input_sha256=hashlib.sha256(profile_to_csv(profile).encode("utf-8")).hexdigest(),
+        input_sha256=_csv_sha256(profile),
         resolution=verdict,
         metrics=metrics,
         load_hist=load_hist,
@@ -102,6 +108,14 @@ def analyze_profile(
             "rules": asdict(rules),
         },
     )
+
+
+def _csv_sha256(profile: LoadProfile) -> str:
+    """SHA-256 of ``profile_to_csv(profile)``, fed one rendered block at a time."""
+    digest = hashlib.sha256()
+    for block in profile_csv_blocks(profile):
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _hist_to_dict(h: Histogram) -> dict:

@@ -30,6 +30,9 @@ from .profiles import SC_MAX_DT_S, LoadProfile
 SECONDS_PER_DAY = 86400.0
 #: Most samples one spec may ask for: a year at 1 s.
 MAX_SAMPLES = 31_536_000
+#: Most charging sessions one ``EvParkSpec`` may expect (rate x span); the
+#: generator loops once per session, about 20 us each.
+MAX_SESSIONS = 100_000
 
 
 def _n_samples(days: int, dt: float) -> int:
@@ -228,6 +231,12 @@ class EvParkSpec:
         _check_common(self.days, self.dt, "ev_park")
         if not 0.0 <= self.arrival_rate_per_h < math.inf:
             raise InvalidSpecError("ev_park: arrival_rate_per_h must be finite and >= 0")
+        span_h = _n_samples(self.days, self.dt) * self.dt / 3600.0
+        if self.arrival_rate_per_h * span_h > MAX_SESSIONS:
+            raise InvalidSpecError(
+                f"ev_park: {self.arrival_rate_per_h:g} arrivals/h over {span_h:g} h "
+                f"expect more than {MAX_SESSIONS} sessions"
+            )
         if not self.charge_power_kw > 0.0:
             raise InvalidSpecError("ev_park: charge_power_kw must be > 0")
         if not 0.0 < self.constant_s_lo <= self.constant_s_hi:

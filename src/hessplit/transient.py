@@ -209,7 +209,4 @@ def symmetry_report(h: Histogram, tail_level: float = TAIL_LEVEL) -> SymmetryRep
 
 def write_histogram_csv(h: Histogram, target: Union[str, Path, IO]) -> None:
     """Write a histogram as ``bin_lo,bin_hi,count`` rows."""
-    write_csv(target, ["bin_lo", "bin_hi", "count"], (
-        [repr(float(lo)), repr(float(hi)), int(c)]
-        for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts)
-    ))
+    write_csv(target, ["bin_lo", "bin_hi", "count"], [h.edges[:-1], h.edges[1:], h.counts])

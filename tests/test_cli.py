@@ -116,6 +116,24 @@ def test_analyze_malformed_row_cited(capsys, tmp_path):
     assert "row 3" in err
 
 
+@pytest.mark.parametrize("row", [2, 151])
+def test_analyze_non_finite_timestamp_exits_2(capsys, tmp_path, row):
+    lines = ["timestamp,power_kw"] + [f"{i},{1 + i % 7}" for i in range(300)]
+    lines[row - 1] = "nan,1"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: row {row}: timestamp must be finite, got 'nan'\n"
+
+
+def test_analyze_header_only_has_no_warning(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("timestamp,power_kw\n")
+    code, out, err = run(capsys, "analyze", str(empty))
+    assert (code, out, err) == (2, "", "error: no data rows\n")
+
+
 def test_analyze_negative_power_and_clamp(capsys, tmp_path):
     neg = tmp_path / "neg.csv"
     rows = "".join(f"{i},{1.0 if i % 2 else -1.0}\n" for i in range(150))

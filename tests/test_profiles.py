@@ -29,7 +29,7 @@ from hessplit.errors import (
     NotAMultipleError,
     UpsamplingForbiddenError,
 )
-from hessplit.profiles import profile_to_csv
+from hessplit.profiles import _parse_loadtxt, _parse_rows, profile_to_csv
 
 
 def test_parse_epoch_timestamps():
@@ -58,6 +58,15 @@ def test_parse_accepts_bytes_and_file_objects():
     assert from_bytes == from_file
 
 
+def test_parse_text_file_after_next(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("exported by meter 7\ntimestamp,power_kw\n0,1\n1,2\n")
+    with path.open(encoding="utf-8") as fh:
+        next(fh)  # a text file being iterated cannot tell(): the row parser reads it
+        p = parse_profile(fh)
+    assert np.array_equal(p.samples, [1.0, 2.0])
+
+
 def test_header_must_match_exactly():
     with pytest.raises(MalformedRowError) as err:
         parse_profile("time,power\n0,1\n1,2\n")
@@ -78,6 +87,17 @@ def test_malformed_row_cites_row_number():
     with pytest.raises(MalformedRowError) as err:
         parse_profile("timestamp,power_kw\n0,1\nbogus stamp,2\n")
     assert "row 3" in str(err.value)
+
+
+@pytest.mark.parametrize("row", [2, 150, 300])
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_non_finite_timestamp_cites_row(stamp, row):
+    lines = ["timestamp,power_kw"] + [f"{i},1" for i in range(300)]
+    lines[row - 1] = f"{stamp},1"
+    with pytest.raises(MalformedRowError) as err:
+        parse_profile("\n".join(lines) + "\n")
+    assert err.value.row_number == row
+    assert "timestamp must be finite" in str(err.value)
 
 
 def test_negative_power_rejected_unless_clamped():
@@ -220,3 +240,93 @@ def test_catalog_rejects_bad_entries(tmp_path):
     manifest.write_text(json.dumps([{"site_id": "missing-path"}]))
     with pytest.raises(MalformedRowError):
         read_catalog(manifest)
+
+
+# --- numpy path against the row parser ---
+
+_HEAD = "timestamp,power_kw\n"
+_ROWS = "".join(f"{1.6e9 + i},{0.25 * i}\n" for i in range(50))
+
+#: (id, CSV text, clamp_negative, whether the numpy path takes it)
+PARSE_CASES = [
+    ("clean", _HEAD + _ROWS, False, True),
+    ("crlf", (_HEAD + _ROWS).replace("\n", "\r\n"), False, True),
+    ("cr", (_HEAD + _ROWS).replace("\n", "\r"), False, True),
+    ("no-final-newline", _HEAD + _ROWS.rstrip("\n"), False, True),
+    ("bom", "\ufeff" + _HEAD + _ROWS, False, True),
+    ("blank-lines", _HEAD + "0,1\n\n1,2\n\n\n2,3\n\n", False, True),
+    ("whitespace-line", _HEAD + "0,1\n   \n1,2\n\t\n2,3\n", False, False),
+    ("spaces", " timestamp , power_kw \n 0 , 1 \n1 ,\t2\n 2,3 \n", False, True),
+    ("quoted", _HEAD + '"0","1"\n"1",2\n2,3\n', False, False),
+    ("quoted-header", '"timestamp","power_kw"\n0,1\n1,2\n', False, False),
+    ("trailing-comma", _HEAD + "0,1,\n1,2,\n", False, False),
+    ("trailing-comma-last", _HEAD + "0,1\n1,2\n2,3,\n", False, False),
+    ("underscores", _HEAD + "1_000,1_0\n1_001,2\n1002,3\n", False, False),
+    ("iso", _HEAD + "2021-03-01T00:00:00Z,1\n2021-03-01T00:00:15Z,2\n", False, False),
+    ("nan-time-row2", _HEAD + "nan,1\n1,2\n2,3\n", False, False),
+    ("nan-time-mid", _HEAD + _ROWS + "nan,1\n" + _ROWS, False, False),
+    ("inf-time", _HEAD + "0,1\ninf,2\n", False, False),
+    ("nan-power", _HEAD + "0,1\n1,nan\n2,3\n", False, False),
+    ("inf-power", _HEAD + "0,1\n1,-inf\n", False, False),
+    ("negative-zero", _HEAD + "-0,-0\n1,-0.0\n2,0\n", False, True),
+    ("negative-power", _HEAD + "0,1\n1,-2\n2,1\n", False, False),
+    ("negative-power-clamped", _HEAD + "0,1\n1,-2\n2,-0.0\n", True, True),
+    ("jitter", _HEAD + "0.0,1\n1.0004,1\n2.0,1\n2.9995,1\n", False, True),
+    ("jitter-at-tolerance", _HEAD + "0,1\n1,1\n2.001,1\n", False, True),
+    ("jitter-beyond-tolerance", _HEAD + "0,1\n1,1\n2.002,1\n", False, False),
+    ("non-uniform", _HEAD + "0,1\n1,1\n2.5,1\n", False, False),
+    ("non-increasing", _HEAD + "5,1\n5,1\n5,1\n", False, False),
+    ("overflowing-dt", _HEAD + "-1e308,1\n1e308,1\n", False, False),
+    ("single-row", _HEAD + "0,1\n", False, False),
+    ("header-only", _HEAD, False, False),
+    ("header-and-blank-lines", _HEAD + "\n\n", False, False),
+    ("empty", "", False, False),
+    ("bad-header", "time,power\n0,1\n1,2\n", False, False),
+    ("three-fields", _HEAD + "0,1,2\n1,2,3\n", False, False),
+    ("one-field", _HEAD + "0,1\n5\n1,2\n", False, False),
+    ("comment-row", _HEAD + "#note,1\n0,1\n1,2\n", False, False),
+]
+
+
+def _outcome(parse):
+    """What a parse gives: the profile's bits, or the exception's type and text."""
+    try:
+        p = parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.samples.tobytes(), repr(p.t0), repr(p.dt)
+
+
+def _reference(source, clamp):
+    def parse():
+        t0, dt, samples = _parse_rows(source, clamp)
+        return LoadProfile(site_id="", t0=t0, dt=dt, samples=samples)
+    return parse
+
+
+@pytest.mark.parametrize("text,clamp,fast", [c[1:] for c in PARSE_CASES],
+                         ids=[c[0] for c in PARSE_CASES])
+def test_numpy_path_matches_row_parser(tmp_path, text, clamp, fast):
+    got = _outcome(lambda: parse_profile(text, clamp_negative=clamp))
+    assert got == _outcome(_reference(text, clamp))
+    assert _outcome(lambda: parse_profile(text.encode("utf-8"), clamp_negative=clamp)) == got
+
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    from_file = _outcome(lambda: parse_profile_file(path, site_id="", clamp_negative=clamp))
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert from_file == _outcome(_reference(fh, clamp))
+
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert (_parse_loadtxt(fh, clamp) is not None) is fast
+
+
+@pytest.mark.parametrize("at", [4, 100, 15000])
+def test_undecodable_file_fails_as_row_parser(tmp_path, at):
+    data = (_HEAD + _ROWS * 20).encode("utf-8")
+    path = tmp_path / "p.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    got = _outcome(lambda: parse_profile_file(path, site_id=""))
+    assert got[0] is UnicodeDecodeError
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert got == _outcome(_reference(fh, False))

@@ -18,7 +18,7 @@ from hessplit import (
     normalize,
 )
 from hessplit.errors import AllZeroProfileError, InvalidSpecError
-from hessplit.synth import MAX_SAMPLES
+from hessplit.synth import MAX_SAMPLES, MAX_SESSIONS
 
 
 def test_generators_are_deterministic():
@@ -108,6 +108,15 @@ def test_spec_sample_count_is_bounded():
             spec(days=1, dt=1e-9)
         with pytest.raises(InvalidSpecError):
             spec(days=10 ** 400)  # beyond float range
+
+
+def test_ev_park_session_count_is_bounded():
+    # only specs are built here: a generator run past the bound would not end
+    assert MAX_SESSIONS == 100_000
+    EvParkSpec(days=365, arrival_rate_per_h=11.0)  # 96,360 expected sessions
+    for days, rate in ((365, 12.0), (1, 1e9), (1, 1e300)):
+        with pytest.raises(InvalidSpecError, match="sessions"):
+            EvParkSpec(days=days, arrival_rate_per_h=rate)
 
 
 # --- municipal ---
