@@ -16,15 +16,29 @@ so these match the per-step expressions bit for bit. The state of charge
 and the VRFB ramp are a genuine recurrence, so they stay a scalar loop over
 Python floats, with each ``min``/``max`` written as a conditional that keeps
 the builtin's tie rule.
+
+One fixed point of that recurrence is skipped. Once the VRFB is empty and at
+rest (``soc_v == 0.0`` and the previous VRFB power a zero), no step before
+the next one that can move the state changes either SoC: the battery cannot
+discharge, and only a recharge step (or an engaged step while the SC holds
+charge) touches the SC. Each step of such a run is then the contract's
+expressions with the state held constant, so the run is filled in numpy
+windows with the same expressions and tie rules (``np.where`` keeps the
+first argument on ties just as the conditionals do), and the loop resumes
+at the step that ends it. Outputs are byte-identical to the scalar steps.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -275,10 +289,19 @@ def resolve_recharge_threshold(norm: NormalizedProfile, cfg: EmsConfig) -> float
     that estimate is not strictly below ``sc_threshold`` (degenerate flat-top
     profiles), in which case recharging is disabled via 0.
     """
+    base = None if cfg.recharge_threshold is not None else base_load_estimate(norm)
+    return _recharge_threshold(cfg, base)
+
+
+def _recharge_threshold(cfg: EmsConfig, base: Optional[float]) -> float:
+    """:func:`resolve_recharge_threshold` given the base-load estimate ``base``.
+
+    ``base`` is None when the config names the threshold. The estimate does
+    not depend on ``sc_threshold``, so a sweep computes it once.
+    """
     if cfg.recharge_threshold is not None:
         return cfg.recharge_threshold
-    est = base_load_estimate(norm)
-    return est if est < cfg.sc_threshold else 0.0
+    return base if base < cfg.sc_threshold else 0.0
 
 
 def dispatch(
@@ -344,16 +367,18 @@ def dispatch(
         If the profile interval exceeds the supercapacitor limit (10 s);
         both engage modes place load on the SC.
     """
-    load, steep = _prep(norm, cfg)
-    return _run(norm, cfg, dev, load, steep)
+    return _run(norm, cfg, dev, *_prep(norm, cfg))
 
 
-def _prep(norm: NormalizedProfile, cfg: EmsConfig) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _prep(
+    norm: NormalizedProfile, cfg: EmsConfig
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[float]]:
     """The inputs of a dispatch that no threshold changes.
 
-    Returns the load ``pu * P`` in kW and, in ``THRESHOLD_OR_DERIVATIVE``
-    mode, the steep-derivative mask ``|d[t]| > derivative_threshold``
-    (``False`` at the final step), else ``None``.
+    Returns the load ``pu * P`` in kW; in ``THRESHOLD_OR_DERIVATIVE`` mode
+    the steep-derivative mask ``|d[t]| > derivative_threshold`` (``False``
+    at the final step), else ``None``; and the base-load estimate, or
+    ``None`` when the config names the recharge threshold.
     """
     if norm.dt > SC_MAX_DT_S:
         raise IncompatibleResolutionError(
@@ -361,11 +386,12 @@ def _prep(norm: NormalizedProfile, cfg: EmsConfig) -> tuple[np.ndarray, Optional
             "needs finer sampling"
         )
     load = norm.pu * norm.base_power_kw
-    if cfg.sc_engage_mode is not EngageMode.THRESHOLD_OR_DERIVATIVE:
-        return load, None
-    steep = np.zeros(norm.n_samples, dtype=bool)
-    steep[:-1] = np.abs(derivative(norm).normalized) > cfg.derivative_threshold
-    return load, steep
+    steep = None
+    if cfg.sc_engage_mode is EngageMode.THRESHOLD_OR_DERIVATIVE:
+        steep = np.zeros(norm.n_samples, dtype=bool)
+        steep[:-1] = np.abs(derivative(norm).normalized) > cfg.derivative_threshold
+    base = None if cfg.recharge_threshold is not None else base_load_estimate(norm)
+    return load, steep, base
 
 
 # Per-step modes of the dispatch loop (idle is 0); recharging wins over engaging.
@@ -378,6 +404,7 @@ def _run(
     dev: DeviceParams,
     load: np.ndarray,
     steep: Optional[np.ndarray],
+    base: Optional[float],
 ) -> DispatchResult:
     """One dispatch on inputs from :func:`_prep` (the ``dispatch`` contract).
 
@@ -387,8 +414,16 @@ def _run(
     ``b if b < a else a`` and each ``max(a, b)`` as ``b if b > a else a``,
     which is the builtin's rule (the first argument wins ties), so signed
     zeros come out as the contract's do.
+
+    Battery-empty runs are handed to :func:`_fill_battery_empty`. The test
+    for one sits where the energy reserve binds, which every step of an
+    empty, resting battery with a positive VRFB target reaches, so other
+    steps pay nothing for it. The SC's end-of-step SoC is therefore settled
+    before the VRFB's part of the step. ``retry`` holds the step that ended
+    the last run tried; a try before it would find the same run, or a
+    shorter one, so none is made.
     """
-    rth = resolve_recharge_threshold(norm, cfg)
+    rth = _recharge_threshold(cfg, base)
     p_max = norm.base_power_kw
     dt = norm.dt
     step_kwh = dt / 3600.0
@@ -417,7 +452,12 @@ def _run(
     p_sc_a, p_v_a, soc_sc_a, soc_v_a = [], [], [], []
     put_sc, put_v = p_sc_a.append, p_v_a.append
     put_soc_sc, put_soc_v = soc_sc_a.append, soc_v_a.append
-    for p_load, m in zip(load.tolist(), mode.tolist()):
+    fill = partial(_fill_battery_empty, load, mode, thr_kw, rth_kw, pow_sc, pow_v, q,
+                   p_sc_a, p_v_a, soc_sc_a, soc_v_a)
+    retry = 0  # no battery-empty run is tried before this step
+    q_inf = math.isinf(q)
+    steps = zip(load.tolist(), mode.tolist())
+    for p_load, m in steps:
         if m == _RECHARGE:
             room = (cap_sc - soc_sc) / step_kwh / eff_sc
             p_sc = -(room if room < r_sc else r_sc)
@@ -441,6 +481,11 @@ def _run(
             target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
             if 0.0 > target:
                 target = 0.0
+        # nothing below reads the start-of-step soc_sc
+        soc = soc_sc - (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
+        if 0.0 > soc:
+            soc = 0.0
+        soc_sc = cap_sc if cap_sc < soc else soc
 
         p_v = pow_v if pow_v < target else target
         if neg_pow_v > p_v:
@@ -453,15 +498,31 @@ def _run(
             p_v = lo
         if p_v > 0.0:
             u = soc_v / step_kwh * eff_v
-            if _stop_energy_sum(p_v, q) > u:
+            # _stop_energy_sum(p_v, q), written out: p_v > 0 is known here
+            if q_inf:
+                need = p_v
+            else:
+                k = int(p_v // q)
+                need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
+            if need > u:
+                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and len(p_sc_a) >= retry:
+                    # The battery is empty and at rest: this step ends with
+                    # p_v = _sustainable_power(u, q) = 0.0 and soc_v unchanged,
+                    # and the run after it is filled in numpy.
+                    put_sc(p_sc)
+                    put_v(0.0)
+                    put_soc_sc(soc_sc)
+                    put_soc_v(soc_v)
+                    i = len(p_sc_a)
+                    retry = fill(i, soc_sc, soc_v)
+                    if len(p_sc_a) > i:
+                        deque(islice(steps, len(p_sc_a) - i), maxlen=0)
+                    prev_v = p_v_a[-1]
+                    continue
                 p_v = _sustainable_power(u, q)
                 if lo > p_v:
                     p_v = lo
 
-        soc = soc_sc - (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
-        if 0.0 > soc:
-            soc = 0.0
-        soc_sc = cap_sc if cap_sc < soc else soc
         soc = soc_v - (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
         if 0.0 > soc:
             soc = 0.0
@@ -472,6 +533,7 @@ def _run(
         put_soc_sc(soc_sc)
         put_soc_v(soc_v)
         prev_v = p_v
+    del steps  # the loop's lists of the load and the modes
 
     sc = np.array(p_sc_a)
     vrfb = np.array(p_v_a)
@@ -494,6 +556,79 @@ def _run(
     )
 
 
+#: Steps per numpy window when :func:`_fill_battery_empty` fills a run.
+_FILL_WINDOW = 4096
+#: Shortest battery-empty run filled in numpy; shorter ones stay scalar.
+_FILL_MIN_RUN = 16
+# The steps that can move the state of an empty, resting VRFB: any non-idle
+# step, or a recharge step. They are searched in the int8 mode array's own
+# bytes: over a short run a regex search costs a fraction of a numpy compare
+# and argmax, which keeps a refused try cheap.
+_ACTIVE_STEP = re.compile(rb"[^\x00]")
+_RECHARGE_STEP = re.compile(re.escape(bytes([_RECHARGE])))
+
+
+def _fill_battery_empty(
+    load: np.ndarray, mode: np.ndarray, thr_kw: float, rth_kw: float, pow_sc: float,
+    pow_v: float, q: float, p_sc_a: list, p_v_a: list, soc_sc_a: list, soc_v_a: list,
+    i: int, soc_sc: float, soc_v: float,
+) -> int:
+    """Append the run of steps from ``i`` that leave an empty, resting VRFB as it is.
+
+    The state at step ``i`` must be ``soc_v == 0.0`` and ``prev_v == 0.0``
+    with ``q > 0``. Then no step can charge or move the battery except a
+    recharge step, and none can move the SC except a recharge step or, while
+    the SC holds charge, an engaged one. Up to the first such step, both
+    SoCs stay as they are and every step is the contract's, evaluated
+    elementwise: ``avail`` is 0.0 on an SC at +0.0 (so engaged steps join
+    the run only then), ``prev_v`` is a signed zero, so the ramp bounds are
+    exactly ``q`` and ``-q``, and a positive VRFB power meets the reserve
+    with ``u = 0.0`` and becomes ``0.0``. Each ``min`` and ``max`` keeps the
+    builtin's tie rule, as in the loop. A SoC of ``-0.0`` would turn into
+    ``0.0`` on a ``-0.0`` power step, so such a VRFB fills nothing and such
+    an SC counts as charged.
+
+    The run is searched and filled ``_FILL_WINDOW`` steps at a time, and
+    only if it is at least ``_FILL_MIN_RUN`` long. Returns the index of the
+    step that ends the run (or ``len(mode)``): the loop resumes there, and
+    before it a new try would find the same, or a shorter, run.
+    """
+    if math.copysign(1.0, soc_v) < 0.0:
+        return i
+    sc_empty = math.copysign(1.0, soc_sc) > 0.0 and soc_sc == 0.0
+    moving = _RECHARGE_STEP if sc_empty else _ACTIVE_STEP
+    start, n = i, mode.size
+    while i < n:
+        hit = moving.search(mode, i, i + _FILL_WINDOW)
+        end = hit.start() if hit else min(i + _FILL_WINDOW, n)
+        if end - start < _FILL_MIN_RUN:
+            return end
+        p_load = load[i:end]
+        if sc_empty:
+            p_sc = p_load - thr_kw
+            p_sc = np.where(0.0 > p_sc, 0.0, p_sc)
+            p_sc = np.where(pow_sc < p_sc, pow_sc, p_sc)
+            p_sc = np.where(0.0 < p_sc, 0.0, p_sc)  # avail = 0.0
+            p_sc = np.where(mode[i:end] == _ENGAGED, p_sc, 0.0)
+        else:
+            p_sc = np.zeros(end - i)
+        target = (p_load - np.where(0.0 > p_sc, 0.0, p_sc)) - rth_kw
+        target = np.where(0.0 > target, 0.0, target)
+        p_v = np.where(pow_v < target, pow_v, target)
+        p_v = np.where(-pow_v > p_v, -pow_v, p_v)
+        p_v = np.where(0.0 + q < p_v, 0.0 + q, p_v)
+        p_v = np.where(0.0 - q > p_v, 0.0 - q, p_v)
+        p_v = np.where(p_v > 0.0, 0.0, p_v)  # the reserve with u = 0.0
+        p_sc_a.extend(p_sc.tolist())
+        p_v_a.extend(p_v.tolist())
+        soc_sc_a.extend([soc_sc] * (end - i))
+        soc_v_a.extend([soc_v] * (end - i))
+        i = end
+        if hit:
+            break
+    return i
+
+
 def threshold_sweep(
     norm: NormalizedProfile,
     thresholds: Sequence[float],
@@ -505,9 +640,10 @@ def threshold_sweep(
     Thresholds must each lie in (0, 1) and be given in ascending order;
     rows come back in the same order. An empty list yields an empty table.
     Each row equals ``dispatch(norm, replace(cfg, sc_threshold=t), dev).stats``.
-    The load in kW and the steep-derivative mask do not depend on the
-    threshold, so they are computed once for the whole sweep; the flags,
-    the recharge threshold and the loop run once per threshold.
+    The load in kW, the steep-derivative mask and the base-load estimate do
+    not depend on the threshold, so they are computed once for the whole
+    sweep; the flags, the recharge threshold and the loop run once per
+    threshold.
     """
     prev = 0.0
     for thr in thresholds:
@@ -518,9 +654,9 @@ def threshold_sweep(
         prev = thr
     if len(thresholds) == 0:
         return []
-    load, steep = _prep(norm, cfg)
+    prep = _prep(norm, cfg)
     return [
-        (float(thr), _run(norm, replace(cfg, sc_threshold=thr), dev, load, steep).stats)
+        (float(thr), _run(norm, replace(cfg, sc_threshold=thr), dev, *prep).stats)
         for thr in thresholds
     ]
 

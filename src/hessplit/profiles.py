@@ -27,6 +27,7 @@ import io
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -208,17 +209,25 @@ def _parse_timestamp(text: str, row_number: int) -> float:
     return stamp.timestamp()
 
 
-def _as_text_lines(source: Union[bytes, str, IO, Iterable[str]]) -> Iterable[str]:
+@contextmanager
+def _text_lines(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Iterable[str]]:
+    """The source as lines of text.
+
+    A binary file is wrapped in a decoder that is detached again on exit,
+    on success and on error, so the caller's file stays open.
+    """
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8")
-        return source
-    return source
+        yield io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, str):
+        yield io.StringIO(source)
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield source
 
 
 def parse_profile(
@@ -253,15 +262,15 @@ def parse_profile(
     ------
     EmptyInputError, MalformedRowError, NonUniformGridError, NegativePowerError
     """
-    lines = _as_text_lines(source)
-    parsed = None
-    start = _start_position(lines)
-    if start is not None:
-        parsed = _parse_loadtxt(lines, clamp_negative)
+    with _text_lines(source) as lines:
+        parsed = None
+        start = _start_position(lines)
+        if start is not None:
+            parsed = _parse_loadtxt(lines, clamp_negative)
+            if parsed is None:
+                lines.seek(start)
         if parsed is None:
-            lines.seek(start)
-    if parsed is None:
-        parsed = _parse_rows(lines, clamp_negative)
+            parsed = _parse_rows(lines, clamp_negative)
     t0, dt, samples = parsed
     return LoadProfile(
         site_id=site_id, category_hint=category_hint, t0=t0, dt=dt, samples=samples,
@@ -315,40 +324,42 @@ def _parse_rows(
     source: Union[bytes, str, IO, Iterable[str]], clamp_negative: bool
 ) -> tuple[float, float, np.ndarray]:
     """``(t0, dt, samples)`` from the CSV, one row at a time, with row-numbered errors."""
-    reader = csv.reader(_as_text_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("no header row") from None
-    header = [h.strip().lstrip("\ufeff") for h in header]
-    if tuple(header) != CSV_HEADER:
-        raise MalformedRowError(1, f"header must be 'timestamp,power_kw', got {','.join(header)!r}")
-
-    times: list[float] = []
-    powers: list[float] = []
-    row_number = 1
-    for row in reader:
-        row_number += 1
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # tolerate a trailing blank line
-        if len(row) != 2:
-            raise MalformedRowError(row_number, f"expected 2 fields, got {len(row)}")
-        t = _parse_timestamp(row[0], row_number)
+    with _text_lines(source) as lines:
+        reader = csv.reader(lines)
         try:
-            p = float(row[1])
-        except ValueError:
-            raise MalformedRowError(row_number, f"unparseable power {row[1]!r}") from None
-        if not math.isfinite(p):
-            raise MalformedRowError(row_number, f"power must be finite, got {row[1]!r}")
-        if p < 0.0:
-            if not clamp_negative:
-                raise NegativePowerError(
-                    f"row {row_number}: negative power {p} kW "
-                    "(pass clamp_negative=True to zero reverse flow)"
-                )
-            p = 0.0
-        times.append(t)
-        powers.append(p)
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError("no header row") from None
+        header = [h.strip().lstrip("\ufeff") for h in header]
+        if tuple(header) != CSV_HEADER:
+            raise MalformedRowError(
+                1, f"header must be 'timestamp,power_kw', got {','.join(header)!r}")
+
+        times: list[float] = []
+        powers: list[float] = []
+        row_number = 1
+        for row in reader:
+            row_number += 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # tolerate a trailing blank line
+            if len(row) != 2:
+                raise MalformedRowError(row_number, f"expected 2 fields, got {len(row)}")
+            t = _parse_timestamp(row[0], row_number)
+            try:
+                p = float(row[1])
+            except ValueError:
+                raise MalformedRowError(row_number, f"unparseable power {row[1]!r}") from None
+            if not math.isfinite(p):
+                raise MalformedRowError(row_number, f"power must be finite, got {row[1]!r}")
+            if p < 0.0:
+                if not clamp_negative:
+                    raise NegativePowerError(
+                        f"row {row_number}: negative power {p} kW "
+                        "(pass clamp_negative=True to zero reverse flow)"
+                    )
+                p = 0.0
+            times.append(t)
+            powers.append(p)
 
     if not times:
         raise EmptyInputError("no data rows")

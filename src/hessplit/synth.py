@@ -243,6 +243,12 @@ class EvParkSpec:
             raise InvalidSpecError("ev_park: constant phase bounds must satisfy 0 < lo <= hi")
         if not 0.0 <= self.taper_duration_s < math.inf:
             raise InvalidSpecError("ev_park: taper_duration_s must be finite and >= 0")
+        # each session builds one taper of taper_duration_s / dt points
+        if self.taper_duration_s / self.dt > MAX_SAMPLES:
+            raise InvalidSpecError(
+                f"ev_park: taper_duration_s={self.taper_duration_s:g} at dt={self.dt:g} s "
+                f"exceeds {MAX_SAMPLES} samples"
+            )
 
 
 def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
@@ -265,6 +265,17 @@ def test_library_warning_uses_cli_format(capsys, tmp_path):
                    "base-load estimate degenerates to the peak\n")
 
 
+def test_sweep_degenerate_base_load_warns_once(capsys, tmp_path):
+    profile = LoadProfile(site_id="flat", t0=0.0, dt=1.0, samples=np.linspace(9.0, 10.0, 300))
+    path = tmp_path / "flat.csv"
+    write_profile_csv(profile, path)
+    code, out, err = run(capsys, "sweep", str(path), "--range", "0.5:0.9:0.1")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    assert err == ("warning: profile 'flat' has no samples below 0.8 pu; "
+                   "base-load estimate degenerates to the peak\n")
+
+
 def test_dispatch_coarse_profile_rejected(capsys, tmp_path):
     profile = LoadProfile(site_id="slow", t0=0.0, dt=60.0,
                           samples=np.linspace(1.0, 10.0, 120))
@@ -470,3 +481,63 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.startswith("hessplit 0.1")
+
+
+# --- no flag value is an internal error ---
+
+def _exit_code(*argv):
+    """``main``'s exit code, including argparse's own exit for a malformed flag."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+_FLAG_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 2.0),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.0", "5e-324", "x", ""]),
+).map(str)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.dictionaries(
+    st.sampled_from(["--start", "--duration", "--sc-soc", "--vrfb-soc", "--sc-power",
+                     "--sc-energy", "--vrfb-power", "--vrfb-energy"]),
+    _FLAG_FLOATS | st.floats(0.0, 500.0).map(str),
+))
+def test_no_ups_flag_is_an_internal_error(capsys, profile_csv, flags):
+    argv = {"--start": "0", "--duration": "60"} | flags
+    code = _exit_code("ups", str(profile_csv), *(x for kv in argv.items() for x in kv))
+    event(f"exit {code}")
+    assert code in (0, 2), capsys.readouterr().err
+
+
+# every accepted value here makes at most two days at dt >= 2 s and a few
+# hundred sessions, so a regression shows as exit 3, not as a hang
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["municipal", "machine", "ev_park"]),
+    flags=st.dictionaries(
+        st.sampled_from(["--noise-sigma", "--duty-cycle", "--on-level", "--charge-power",
+                         "--scale-kw", "--arrival-rate"]),
+        st.floats(0.0, 1.0).map(str) | st.floats(0.0, 20.0).map(str) | _FLAG_FLOATS,
+        max_size=3,
+    ),
+    days=st.just("1") | st.sampled_from(["2", "0", "-1", str(10 ** 30), "1.5", "x"]),
+    dt=st.floats(2.0, 10.0).map(str) | _FLAG_FLOATS.filter(
+        lambda v: v in ("nan", "-inf", "x", "") or not 0.0 < float(v) < 2.0)
+    | st.sampled_from(["1e-9", "0.001"]),
+)
+def test_no_synth_flag_is_an_internal_error(capsys, tmp_path, kind, flags, days, dt):
+    if "--arrival-rate" in flags and flags["--arrival-rate"] not in ("x", ""):
+        rate = float(flags["--arrival-rate"])
+        if 20.0 < rate < 1e9:  # accepted, but one loop turn per session
+            flags["--arrival-rate"] = "20"
+    code = _exit_code("synth", "--kind", kind, "--out", str(tmp_path / "x.csv"),
+                      "--days", days, "--dt", dt,
+                      *(x for kv in flags.items() for x in kv))
+    event(f"exit {code}")
+    assert code in (0, 2), capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -65,6 +66,22 @@ def test_parse_text_file_after_next(tmp_path):
         next(fh)  # a text file being iterated cannot tell(): the row parser reads it
         p = parse_profile(fh)
     assert np.array_equal(p.samples, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text", ["timestamp,power_kw\n0,1\n1,2\n",
+                                  "timestamp,power_kw\n0,1\n1,x\n"])
+def test_parse_leaves_binary_file_open(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with path.open("rb") as fh:
+        try:
+            assert np.array_equal(parse_profile(fh).samples, [1.0, 2.0])
+        except MalformedRowError:
+            pass
+        gc.collect()  # a leftover text wrapper would close fh when collected
+        assert not fh.closed
+        fh.seek(0)
+        assert fh.read() == text.encode("utf-8")
 
 
 def test_header_must_match_exactly():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_spec_sample_count_is_bounded():
             spec(days=1, dt=1e-9)
         with pytest.raises(InvalidSpecError):
             spec(days=10 ** 400)  # beyond float range
+
+
+def test_ev_park_taper_length_is_bounded():
+    EvParkSpec(taper_duration_s=float(MAX_SAMPLES))  # exactly at the bound: accepted
+    tracemalloc.start()
+    try:
+        for taper, dt in ((MAX_SAMPLES + 1.0, 1.0), (1e12, 1.0), (MAX_SAMPLES / 2 + 1.0, 0.5)):
+            with pytest.raises(InvalidSpecError, match="taper_duration_s"):
+                EvParkSpec(taper_duration_s=taper, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # rejected before any taper exists
 
 
 def test_ev_park_session_count_is_bounded():
