@@ -175,7 +175,13 @@ def compute_metrics(
     estimate degenerates to 1.0 (nothing below the peak band) the peak
     statistics fall back to level 0 so they stay defined.
     """
-    norm = normalize(profile)
+    return _compute_metrics(profile, normalize(profile), bins, peak_band)
+
+
+def _compute_metrics(
+    profile: LoadProfile, norm: NormalizedProfile, bins: int, peak_band: float = PEAK_BAND_PU
+) -> ProfileMetrics:
+    """:func:`compute_metrics` of a profile whose normalized form is ``norm``."""
     base = base_load_estimate(norm, bins=bins, peak_band=peak_band)
     peaks = peak_stats(norm, base) if base < 1.0 else peak_stats(norm, 0.0)
     return ProfileMetrics(

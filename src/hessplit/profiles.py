@@ -13,7 +13,11 @@ error messages, and it alone reads ISO timestamps. Other iterables of lines
 go to the row parser directly.
 
 Every CSV this package writes is rendered by :func:`csv_blocks`, a few
-thousand rows at a time, from numpy columns.
+thousand rows at a time, from numpy columns. Each field is the ``repr`` of
+its value. A long column that repeats a few values (a dispatch trace's
+flags, powers and states) is rendered from a table holding the ``repr`` of
+each distinct value once; every other column is formatted row by row. The
+text is the same either way, since equal bits give an equal ``repr``.
 
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,16 +70,64 @@ def freeze_arrays(obj, dtype, *names: str) -> None:
 
 #: Rows per text block of :func:`csv_blocks`; bounds the memory of a render.
 CSV_BLOCK_ROWS = 4096
+#: Values of a long column counted before it may be sorted for a table.
+_TABLE_SAMPLE = 1024
+#: A column is tabled when it has at most ``n // _TABLE_FRACTION`` distinct values.
+_TABLE_FRACTION = 8
+
+
+def _column_renderer(col: np.ndarray) -> tuple[str, Callable[[int, int], list]]:
+    """The row-format field for one column and a ``(start, end) -> list``
+    function giving the values that fill it for rows ``start:end``.
+
+    A column of at least :data:`CSV_BLOCK_ROWS` values is keyed by its bits:
+    a float column by its ``int64`` view, so ``-0.0`` and ``0.0`` stay
+    apart and so do NaN payloads, an integer column as it is. If a strided
+    sample of about :data:`_TABLE_SAMPLE` keys is not nearly all distinct
+    (counted with a ``set``: no sort for a column that cannot qualify), and
+    ``np.unique`` then finds at most ``n // _TABLE_FRACTION`` distinct keys,
+    the column takes a ``{}`` field filled from a table: the ``repr`` of the
+    ``tolist()`` scalar at each key's first occurrence, looked up one block
+    at a time with ``np.searchsorted``. Every other column takes ``{!r}``.
+    """
+    plain = "{!r}", lambda s, e: col[s:e].tolist()
+    n = len(col)
+    if n < CSV_BLOCK_ROWS:
+        return plain
+    if col.dtype == np.float64:
+        keys = col.view(np.int64)
+    elif col.dtype.kind in "biu":
+        keys = col
+    else:
+        return plain
+    sample = keys[:: n // _TABLE_SAMPLE].tolist()
+    if len(set(sample)) * 8 > len(sample) * 7:  # more than 7 in 8 distinct
+        return plain
+    distinct, first = np.unique(keys, return_index=True)
+    if len(distinct) > n // _TABLE_FRACTION:
+        return plain
+    texts = np.array(list(map(repr, col[first].tolist())), dtype=object)
+    return "{}", lambda s, e: texts[np.searchsorted(distinct, keys[s:e])].tolist()
 
 
 def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
     """Yield the text of :func:`write_csv`: the header row, then blocks of
-    :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column."""
+    :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column.
+
+    How to render each column is decided once per call by
+    :func:`_column_renderer`. A long column with few distinct values (at
+    most one per :data:`_TABLE_FRACTION` rows) is rendered from a table of
+    the ``repr`` of each distinct value, computed once; every other column
+    by a ``{!r}`` field of the row format. Values with equal bits have an
+    equal ``repr``, so the tabled text is the ``repr`` of every row's value,
+    as the row path gives it.
+    """
     yield ",".join(header) + "\r\n"
-    row = ",".join(["{!r}"] * len(columns)) + "\r\n"
+    fields, slicers = zip(*map(_column_renderer, columns))
+    row = ",".join(fields) + "\r\n"
     for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         e = s + CSV_BLOCK_ROWS
-        yield "".join(map(row.format, *(col[s:e].tolist() for col in columns)))
+        yield "".join(map(row.format, *(f(s, e) for f in slicers)))
 
 
 def write_csv(
@@ -87,7 +139,10 @@ def write_csv(
     float at full precision, an integer as plain digits), fields are joined
     by ``,`` and every row ends in ``\r\n``: byte for byte what ``csv.writer``
     writes for the same ``repr`` strings, none of which needs quoting. Header
-    names are written as they are. The text comes from :func:`csv_blocks`.
+    names are written as they are. The text comes from :func:`csv_blocks`,
+    which takes the ``repr`` of a long column's repeated values from a table
+    built once per distinct bit pattern: the same strings, since values with
+    equal bits have an equal ``repr``.
 
     A path is opened as UTF-8 with ``newline=""`` and closed again; an open
     file is written as it is and left open.

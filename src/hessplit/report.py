@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classify import ClassificationReport, Relevance, RuleThresholds, classify
-from .metrics import ProfileMetrics, compute_metrics, normalize
+from .metrics import ProfileMetrics, _compute_metrics, normalize
 from .profiles import (
     Category,
     LoadProfile,
@@ -75,7 +75,7 @@ def analyze_profile(
     """
     verdict = validate_resolution(profile)
     norm = normalize(profile)
-    metrics = compute_metrics(profile, bins=bins)
+    metrics = _compute_metrics(profile, norm, bins)
     load_hist = histogram(norm.pu, bins=bins, range=(0.0, 1.0))
 
     derivative_hist = None

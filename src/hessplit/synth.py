@@ -243,12 +243,28 @@ class EvParkSpec:
             raise InvalidSpecError("ev_park: constant phase bounds must satisfy 0 < lo <= hi")
         if not 0.0 <= self.taper_duration_s < math.inf:
             raise InvalidSpecError("ev_park: taper_duration_s must be finite and >= 0")
-        # each session builds one taper of taper_duration_s / dt points
+        # a taper longer than the longest profile never ends inside one
         if self.taper_duration_s / self.dt > MAX_SAMPLES:
             raise InvalidSpecError(
                 f"ev_park: taper_duration_s={self.taper_duration_s:g} at dt={self.dt:g} s "
                 f"exceeds {MAX_SAMPLES} samples"
             )
+
+
+def _taper_head(power_kw: float, taper_steps: int, k: int) -> np.ndarray:
+    """The first ``k`` points of ``np.linspace(power_kw, 0.0, taper_steps + 2)[1:-1]``.
+
+    Bit for bit, without building the rest: ``linspace`` computes point
+    ``i`` as ``i * step + start`` with ``step = (stop - start) / div``, or as
+    ``i / div * (stop - start)`` plus ``start`` when that step underflows
+    to zero; ``k <= taper_steps``, so the exact ``stop`` it writes last is
+    never among them.
+    """
+    div = taper_steps + 1
+    delta = 0.0 - power_kw
+    i = np.arange(1, k + 1, dtype=np.float64)
+    step = delta / div
+    return (i * step if step != 0.0 else i / div * delta) + power_kw
 
 
 def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:
@@ -273,9 +289,9 @@ def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:
             if start < n:
                 end_c = min(start + const_steps, n)
                 samples[start:end_c] += spec.charge_power_kw
-                taper = np.linspace(spec.charge_power_kw, 0.0, taper_steps + 2)[1:-1]
                 end_t = min(start + const_steps + taper_steps, n)
-                samples[end_c:end_t] += taper[: max(0, end_t - end_c)]
+                samples[end_c:end_t] += _taper_head(
+                    spec.charge_power_kw, taper_steps, max(0, end_t - end_c))
                 events.append({
                     "kind": "session",
                     "start_step": start,

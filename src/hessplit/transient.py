@@ -23,6 +23,8 @@ from .profiles import freeze_arrays, write_csv
 LOAD_BINS = 100
 #: Default bin count for symmetric derivative histograms (odd, center on 0).
 DERIVATIVE_BINS = 101
+#: Most bins a histogram may be asked for; a report carries every edge and count.
+MAX_BINS = 100_000
 #: Default |normalized derivative| level separating "tail" transients.
 TAIL_LEVEL = 0.5
 #: Fixed secondary probe level always included in symmetry reports.
@@ -107,13 +109,16 @@ def histogram(
     With ``symmetric=True`` the range is forced to ``[-m, m]`` with
     ``m = max(|values|)`` and the bin count is forced odd so one bin is
     centered exactly on zero; an all-zero series uses ``m = 1``. An even
-    ``bins`` is bumped up by one rather than rejected.
+    ``bins`` is bumped up by one rather than rejected. ``bins`` must lie in
+    ``[2, MAX_BINS]``.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptyValuesError("cannot histogram an empty value series")
     if bins < 2:
         raise InvalidConfigError(f"need at least 2 bins, got {bins}")
+    if bins > MAX_BINS:
+        raise InvalidConfigError(f"at most {MAX_BINS} bins, got {bins}")
     if symmetric:
         if bins % 2 == 0:
             bins += 1

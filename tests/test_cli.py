@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
 from hessplit.cli import _DEV_FIELDS, _EMS_FIELDS, CONFIG_ENV_VAR, _parse_range, main
 from hessplit.errors import InvalidRangeError
+from hessplit.transient import MAX_BINS
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +133,20 @@ def test_analyze_header_only_has_no_warning(capsys, tmp_path):
     empty.write_text("timestamp,power_kw\n")
     code, out, err = run(capsys, "analyze", str(empty))
     assert (code, out, err) == (2, "", "error: no data rows\n")
+
+
+@pytest.mark.parametrize("bins", [str(MAX_BINS + 1), "100000000", "10000000000000"])
+def test_analyze_derivative_bins_is_bounded(capsys, profile_csv, bins):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "analyze", str(profile_csv), "--derivative-bins", bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: at most {MAX_BINS} bins, got {bins}\n"
+    assert peak < 1_000_000  # rejected before any edge exists
 
 
 def test_analyze_negative_power_and_clamp(capsys, tmp_path):
@@ -510,6 +525,28 @@ _FLAG_FLOATS = st.one_of(
 def test_no_ups_flag_is_an_internal_error(capsys, profile_csv, flags):
     argv = {"--start": "0", "--duration": "60"} | flags
     code = _exit_code("ups", str(profile_csv), *(x for kv in argv.items() for x in kv))
+    event(f"exit {code}")
+    assert code in (0, 2), capsys.readouterr().err
+
+
+_BIN_COUNTS = st.one_of(
+    st.integers(-10, 500).map(str),
+    st.sampled_from([MAX_BINS, MAX_BINS + 1, 10 ** 8, 10 ** 13, 2 ** 63, -2 ** 63, 10 ** 40])
+    .map(str),
+    st.sampled_from(["x", "", "1.5", "1e3", "nan", "0x10"]),
+)
+
+
+# the profile has 400 samples, so an accepted flag set stays small and fast
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.dictionaries(
+    st.sampled_from(["--bins", "--derivative-bins", "--tail-level"]),
+    _BIN_COUNTS | _FLAG_FLOATS,
+))
+def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, flags):
+    code = _exit_code("analyze", str(profile_csv), "--out", str(tmp_path / "r.json"),
+                      *(x for kv in flags.items() for x in kv))
     event(f"exit {code}")
     assert code in (0, 2), capsys.readouterr().err
 

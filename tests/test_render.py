@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessplit import (
     LoadProfile,
@@ -20,6 +23,7 @@ from hessplit import (
     write_profile_csv,
     write_sweep_csv,
 )
+from hessplit import profiles
 from hessplit.profiles import CSV_BLOCK_ROWS, csv_blocks, profile_to_csv, write_csv
 from hessplit.transient import histogram
 
@@ -35,6 +39,14 @@ def reference_csv(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([repr(x) for x in row] for row in rows)
     return buf.getvalue()
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """``got == expected``, failing with the first differing line, not a full diff."""
+    if got != expected:
+        a, b = got.splitlines(), expected.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i} differs: {a[i:i + 1]} != {b[i:i + 1]}")
 
 
 def rendered(write, *args) -> str:
@@ -54,11 +66,105 @@ def test_write_csv_matches_csv_writer(tmp_path, n):
 
     buf = io.StringIO()
     write_csv(buf, header, columns)
-    assert buf.getvalue() == expected
+    assert_same_text(buf.getvalue(), expected)
     path = tmp_path / "out.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == expected.encode("utf-8")
     assert len(list(csv_blocks(header, columns))) == 1 + -(-n // CSV_BLOCK_ROWS)
+
+
+# NaNs with other sign and payload bits: each is its own table key, all print 'nan'
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                dtype=np.uint64).view(np.float64).tolist()
+POOL = [0.0, -0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-5, 1 / 3, *NANS]
+INT_POOLS = {np.int8: [-128, -1, 0, 1, 127],
+             np.int64: [-2 ** 63, -1, 0, 1, 10 ** 15, 2 ** 63 - 1]}
+LONG_LENGTHS = [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                2 * CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 17]
+
+COLUMN_KINDS = st.one_of(
+    st.tuples(st.just("pool"), st.lists(st.sampled_from(POOL), min_size=1, max_size=6)),
+    st.tuples(st.just("ints"), st.sampled_from(sorted(INT_POOLS, key=str))),
+    st.tuples(st.just("distinct"), st.sampled_from([np.float64, np.int64])),
+    # distinct counts on both sides of the table threshold of n // 8
+    st.tuples(st.just("k distinct"), st.sampled_from([-1, 0, 1])),
+    st.tuples(st.just("half repeated"), st.sampled_from([0.0, -0.0])),
+)
+
+
+def make_column(kind, n, rng):
+    tag, arg = kind
+    if tag == "pool":
+        return rng.choice(np.array(arg), size=n)
+    if tag == "ints":
+        return rng.choice(np.array(INT_POOLS[arg], dtype=arg), size=n)
+    if tag == "distinct":
+        return rng.random(n) * 1e3 if arg is np.float64 else np.arange(n, dtype=arg) * 7919 - 3
+    if tag == "k distinct":
+        return np.resize(rng.random(n // 8 + arg), n)
+    col = rng.random(n)
+    col[: n // 2] = arg
+    return col
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(COLUMN_KINDS, min_size=1, max_size=4),
+       n=st.sampled_from(LONG_LENGTHS), seed=st.integers(0, 2 ** 32 - 1))
+def test_long_columns_match_csv_writer(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    columns = [make_column(kind, n, rng) for kind in kinds]
+    header = [f"c{i}" for i in range(len(columns))]
+    buf = io.StringIO()
+    write_csv(buf, header, columns)
+    assert_same_text(buf.getvalue(), reference_csv(header, zip(*(c.tolist() for c in columns))))
+
+
+def count_table_reprs(monkeypatch, columns):
+    """Render ``columns`` and return how many values were put in a ``repr`` table."""
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return builtins.repr(x)
+
+    monkeypatch.setattr(profiles, "repr", counting_repr, raising=False)
+    header = [f"c{i}" for i in range(len(columns))]
+    text = "".join(csv_blocks(header, columns))
+    monkeypatch.undo()
+    assert_same_text(text, reference_csv(header, zip(*(c.tolist() for c in columns))))
+    return len(calls)
+
+
+def test_long_low_cardinality_columns_are_tabled(monkeypatch):
+    n = 3 * CSV_BLOCK_ROWS
+    few = np.resize([0.0, -0.0, 1 / 3, 5e-324, 7.0], n)
+    flags = np.resize(np.array([0, 1], dtype=np.int8), n)
+    distinct = np.arange(n) / 3.0
+    # one repr per distinct value of the two tabled columns, none per row
+    assert count_table_reprs(monkeypatch, [few, distinct, flags]) == 5 + 2
+    assert count_table_reprs(monkeypatch, [distinct]) == 0
+    assert count_table_reprs(monkeypatch, [few[: CSV_BLOCK_ROWS - 1]]) == 0
+
+
+def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
+    # the first sort in a process maps numpy's sort code: analyze never pays it
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    n = 3 * CSV_BLOCK_ROWS
+    times = 1.6e9 + np.arange(n) * 0.5
+    samples = rng.uniform(0.0, 250.0, size=n)
+    samples[::64] = 7.0  # one row in 64 repeats a value: still nearly all distinct
+    assert "".join(csv_blocks(["t", "p"], [times, samples])).count("\r\n") == n + 1
+
+
+def test_table_threshold_is_one_distinct_value_per_eight_rows(monkeypatch):
+    n = 4 * CSV_BLOCK_ROWS
+    at = np.resize(np.arange(n // 8) / 3.0, n)
+    over = np.resize(np.arange(n // 8 + 1) / 3.0, n)
+    assert count_table_reprs(monkeypatch, [at]) == n // 8
+    assert count_table_reprs(monkeypatch, [over]) == 0
 
 
 @pytest.fixture
@@ -73,7 +179,7 @@ def test_profile_csv_matches_old_writer(profile, tmp_path):
     expected = reference_csv(["timestamp", "power_kw"], (
         [profile.t0 + i * profile.dt, float(p)] for i, p in enumerate(profile.samples)
     ))
-    assert profile_to_csv(profile) == expected
+    assert_same_text(profile_to_csv(profile), expected)
     path = tmp_path / "p.csv"
     write_profile_csv(profile, path)
     assert path.read_bytes() == expected.encode("utf-8")
@@ -87,13 +193,13 @@ def test_input_sha256_is_hash_of_canonical_csv(profile):
 def test_trace_sweep_and_histogram_match_old_writers(profile):
     norm = normalize(profile)
     res = dispatch(norm)
-    assert rendered(write_dispatch_csv, res) == reference_csv(
+    assert_same_text(rendered(write_dispatch_csv, res), reference_csv(
         ["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
          "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"],
         ([i * res.dt, float(res.p_load_kw[i]), float(res.p_grid_kw[i]),
           float(res.p_sc_kw[i]), float(res.p_vrfb_kw[i]), float(res.soc_sc_kwh[i]),
           float(res.soc_vrfb_kwh[i]), int(res.flag_sc[i])] for i in range(res.n_steps)),
-    )
+    ))
 
     rows = threshold_sweep(norm, [0.5, np.float64(0.7), 0.9])
     assert rendered(write_sweep_csv, rows) == reference_csv(

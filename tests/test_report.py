@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hessplit import (
     read_report_json,
     write_report_json,
 )
+from hessplit import metrics, report
+from hessplit.metrics import compute_metrics
 from hessplit.profiles import profile_to_csv
 from hessplit.report import report_from_dict, report_to_dict
 
@@ -54,6 +57,22 @@ def test_input_hash_matches_canonical_csv(busy_profile):
     rep = analyze_profile(busy_profile)
     expected = hashlib.sha256(profile_to_csv(busy_profile).encode()).hexdigest()
     assert rep.input_sha256 == expected
+
+
+def test_analyze_normalizes_once(monkeypatch, busy_profile):
+    expected = repr(asdict(compute_metrics(busy_profile, bins=50)))
+    original = metrics.normalize
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return original(profile)
+
+    monkeypatch.setattr(metrics, "normalize", counting)
+    monkeypatch.setattr(report, "normalize", counting)
+    rep = analyze_profile(busy_profile, bins=50)
+    assert calls == [busy_profile]
+    assert repr(asdict(rep.metrics)) == expected
 
 
 def test_config_echo(busy_profile):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,8 +19,9 @@ from hessplit import (
     generate,
     normalize,
 )
+from hessplit import synth
 from hessplit.errors import AllZeroProfileError, InvalidSpecError
-from hessplit.synth import MAX_SAMPLES, MAX_SESSIONS
+from hessplit.synth import MAX_SAMPLES, MAX_SESSIONS, _taper_head
 
 
 def test_generators_are_deterministic():
@@ -122,6 +124,44 @@ def test_ev_park_taper_length_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # rejected before any taper exists
+
+
+@pytest.mark.parametrize("power", [11.0, 1 / 3, 7, 1e300, 5e-324, 2.5e-308])
+def test_taper_head_equals_sliced_linspace(power):
+    for taper_steps in (0, 1, 2, 3, 7, 599, 600, 601, 4096, 86_399):
+        full = np.linspace(power, 0.0, taper_steps + 2)[1:-1]
+        for k in {0, min(1, taper_steps), taper_steps // 2, max(0, taper_steps - 1), taper_steps}:
+            assert _taper_head(power, taper_steps, k).tobytes() == full[:k].tobytes()
+
+
+def _sliced_linspace(power_kw, taper_steps, k):
+    return np.linspace(power_kw, 0.0, taper_steps + 2)[1:-1][:k]
+
+
+@pytest.mark.parametrize("spec", [
+    EvParkSpec(),
+    EvParkSpec(taper_duration_s=0.0),
+    EvParkSpec(taper_duration_s=1.0, dt=2.0, seed=3),
+    EvParkSpec(taper_duration_s=20_000.0, arrival_rate_per_h=6.0, charge_power_kw=1 / 3),
+    EvParkSpec(taper_duration_s=3.0e5, constant_s_lo=1.0, constant_s_hi=5.0, seed=1),
+])
+def test_ev_park_tapers_match_sliced_linspace(monkeypatch, spec):
+    profile, events = gen_ev_park(spec)
+    monkeypatch.setattr(synth, "_taper_head", _sliced_linspace)
+    assert profile.samples.tobytes() == gen_ev_park(spec)[0].samples.tobytes()
+    ends = [e["start_step"] + e["constant_steps"] + e["taper_steps"] for e in events]
+    assert max(ends) > profile.n_samples  # a session is clipped at the horizon
+
+
+def test_ev_park_long_taper_builds_only_the_horizon():
+    spec = EvParkSpec(taper_duration_s=3.0e7)
+    start = time.perf_counter()
+    profile, events = gen_ev_park(spec)
+    assert time.perf_counter() - start < 1.0
+    assert profile.n_samples == 86_400 and len(events) > 10
+    # every session is clipped by the horizon: the taper never ends
+    assert all(e["start_step"] + e["constant_steps"] + e["taper_steps"] > 86_400
+               for e in events)
 
 
 def test_ev_park_session_count_is_bounded():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hessplit.errors import (
 )
 from hessplit.metrics import NormalizedProfile
 from hessplit.profiles import LoadProfile
-from hessplit.transient import write_histogram_csv
+from hessplit.transient import MAX_BINS, write_histogram_csv
 
 
 def _norm(pu, dt=1.0):
@@ -97,6 +98,20 @@ def test_histogram_rejects_empty_and_tiny_bins():
         histogram([])
     with pytest.raises(InvalidConfigError):
         histogram([1.0], bins=1)
+
+
+def test_histogram_bins_are_bounded():
+    assert histogram([0.5], bins=MAX_BINS, symmetric=True).n_bins == MAX_BINS + 1
+    tracemalloc.start()
+    try:
+        for bins in (MAX_BINS + 1, 10 ** 8, 10 ** 13):
+            for symmetric in (False, True):
+                with pytest.raises(InvalidConfigError, match=f"at most {MAX_BINS} bins"):
+                    histogram([0.1, 0.9], bins=bins, symmetric=symmetric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # rejected before any edge exists
 
 
 @settings(max_examples=50)
