@@ -15,14 +15,16 @@ after the loop, the grid slack ``(p_load - p_sc) - p_vrfb``. numpy float64
 so these match the per-step expressions bit for bit. The state of charge
 and the VRFB ramp are a genuine recurrence, so they stay a scalar loop over
 Python floats, with each ``min``/``max`` written as a conditional that keeps
-the builtin's tie rule.
+the builtin's tie rule. Each step's four outputs go straight into float64
+arrays allocated once per run (a sweep shares one set among its thresholds),
+so no Python object outlives its step.
 
 One fixed point of that recurrence is skipped. Once the VRFB is empty and at
 rest (``soc_v == 0.0`` and the previous VRFB power a zero), no step before
 the next one that can move the state changes either SoC: the battery cannot
 discharge, and only a recharge step (or an engaged step while the SC holds
 charge) touches the SC. Each step of such a run is then the contract's
-expressions with the state held constant, so the run is filled in numpy
+expressions with the state held constant, so the run is written in numpy
 windows with the same expressions and tie rules (``np.where`` keeps the
 first argument on ties just as the conditionals do), and the loop resumes
 at the step that ends it. Outputs are byte-identical to the scalar steps.
@@ -177,10 +179,16 @@ class FlagSeries:
     """Per-step component flags; exactly one of the two is set at each step."""
 
     flag_sc: np.ndarray
-    flag_vrfb: np.ndarray
 
     def __post_init__(self):
-        freeze_arrays(self, bool, "flag_sc", "flag_vrfb")
+        freeze_arrays(self, bool, "flag_sc")
+
+    @property
+    def flag_vrfb(self) -> np.ndarray:
+        """``~flag_sc``, read-only: the battery's steps."""
+        vrfb = ~self.flag_sc
+        vrfb.flags.writeable = False
+        return vrfb
 
 
 def compute_flags(norm: NormalizedProfile, cfg: EmsConfig) -> FlagSeries:
@@ -189,8 +197,7 @@ def compute_flags(norm: NormalizedProfile, cfg: EmsConfig) -> FlagSeries:
     The comparison is strict (``pu > sc_threshold``), so a sample exactly on
     the threshold belongs to the battery. The two flags partition every step.
     """
-    sc = norm.pu > cfg.sc_threshold
-    return FlagSeries(flag_sc=sc, flag_vrfb=~sc)
+    return FlagSeries(flag_sc=norm.pu > cfg.sc_threshold)
 
 
 @dataclass(frozen=True)
@@ -367,7 +374,15 @@ def dispatch(
         If the profile interval exceeds the supercapacitor limit (10 s);
         both engage modes place load on the SC.
     """
-    return _run(norm, cfg, dev, *_prep(norm, cfg))
+    load, steep, base = _prep(norm, cfg)
+    out = np.empty((4, norm.n_samples))
+    rth, flag_sc, engaged = _run(norm, cfg, dev, load, steep, base, out)
+    grid, stats = _summarize(load, engaged, out, norm.base_power_kw)
+    return DispatchResult(
+        dt=norm.dt, base_power_kw=norm.base_power_kw, p_load_kw=load, p_grid_kw=grid,
+        p_sc_kw=out[0], p_vrfb_kw=out[1], soc_sc_kwh=out[2], soc_vrfb_kwh=out[3],
+        flag_sc=flag_sc, engaged_sc=engaged, recharge_threshold=rth, stats=stats,
+    )
 
 
 def _prep(
@@ -399,37 +414,32 @@ _ENGAGED, _RECHARGE = 1, 2
 
 
 def _run(
-    norm: NormalizedProfile,
-    cfg: EmsConfig,
-    dev: DeviceParams,
-    load: np.ndarray,
-    steep: Optional[np.ndarray],
-    base: Optional[float],
-) -> DispatchResult:
+    norm: NormalizedProfile, cfg: EmsConfig, dev: DeviceParams, load: np.ndarray,
+    steep: Optional[np.ndarray], base: Optional[float], out: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """One dispatch on inputs from :func:`_prep` (the ``dispatch`` contract).
 
-    Everything that does not depend on the state is done in numpy: flags,
-    step modes and the grid slack. The loop carries only the SoC and ramp
-    recurrence. Each builtin ``min(a, b)`` of the contract is written
-    ``b if b < a else a`` and each ``max(a, b)`` as ``b if b > a else a``,
-    which is the builtin's rule (the first argument wins ties), so signed
-    zeros come out as the contract's do.
+    Writes ``p_sc``, ``p_vrfb``, ``soc_sc`` and ``soc_vrfb`` of every step
+    into the rows of ``out``, a float64 array of shape ``(4, n)``, and
+    returns the recharge threshold, the SC flag and the engaged mask. The
+    loop carries only the SoC and ramp recurrence. It stores step ``i`` by
+    item assignment on a memoryview of each row, which keeps a float's
+    double, signed zeros too, and converts an int as ``float()`` does. Each
+    builtin ``min(a, b)`` of the contract is written ``b if b < a else a``
+    and each ``max(a, b)`` as ``b if b > a else a``: the first argument wins ties.
 
     Battery-empty runs are handed to :func:`_fill_battery_empty`. The test
     for one sits where the energy reserve binds, which every step of an
     empty, resting battery with a positive VRFB target reaches, so other
     steps pay nothing for it. The SC's end-of-step SoC is therefore settled
-    before the VRFB's part of the step. ``retry`` holds the step that ended
-    the last run tried; a try before it would find the same run, or a
-    shorter one, so none is made.
+    before the VRFB's part of the step. No try is made before ``retry``, the
+    step that ended the last run tried.
     """
     rth = _recharge_threshold(cfg, base)
-    p_max = norm.base_power_kw
-    dt = norm.dt
-    step_kwh = dt / 3600.0
-    q = dev.vrfb_ramp_kw_per_s * dt
-    thr_kw = cfg.sc_threshold * p_max
-    rth_kw = rth * p_max
+    step_kwh = norm.dt / 3600.0
+    q = dev.vrfb_ramp_kw_per_s * norm.dt
+    thr_kw = cfg.sc_threshold * norm.base_power_kw
+    rth_kw = rth * norm.base_power_kw
 
     flag_sc = compute_flags(norm, cfg).flag_sc
     engaged = flag_sc if steep is None else flag_sc | steep
@@ -449,15 +459,12 @@ def _run(
     soc_v = dev.vrfb_initial_soc_fraction * cap_v
     prev_v = 0.0
 
-    p_sc_a, p_v_a, soc_sc_a, soc_v_a = [], [], [], []
-    put_sc, put_v = p_sc_a.append, p_v_a.append
-    put_soc_sc, put_soc_v = soc_sc_a.append, soc_v_a.append
-    fill = partial(_fill_battery_empty, load, mode, thr_kw, rth_kw, pow_sc, pow_v, q,
-                   p_sc_a, p_v_a, soc_sc_a, soc_v_a)
+    w_sc, w_v, w_soc_sc, w_soc_v = map(memoryview, out)
+    fill = partial(_fill_battery_empty, load, mode, thr_kw, rth_kw, pow_sc, pow_v, q, out)
     retry = 0  # no battery-empty run is tried before this step
     q_inf = math.isinf(q)
-    steps = zip(load.tolist(), mode.tolist())
-    for p_load, m in steps:
+    steps = enumerate(zip(memoryview(load), mode.tobytes()))
+    for i, (p_load, m) in steps:
         if m == _RECHARGE:
             room = (cap_sc - soc_sc) / step_kwh / eff_sc
             p_sc = -(room if room < r_sc else r_sc)
@@ -505,19 +512,15 @@ def _run(
                 k = int(p_v // q)
                 need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
             if need > u:
-                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and len(p_sc_a) >= retry:
+                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and i >= retry:
                     # The battery is empty and at rest: this step ends with
                     # p_v = _sustainable_power(u, q) = 0.0 and soc_v unchanged,
                     # and the run after it is filled in numpy.
-                    put_sc(p_sc)
-                    put_v(0.0)
-                    put_soc_sc(soc_sc)
-                    put_soc_v(soc_v)
-                    i = len(p_sc_a)
-                    retry = fill(i, soc_sc, soc_v)
-                    if len(p_sc_a) > i:
-                        deque(islice(steps, len(p_sc_a) - i), maxlen=0)
-                    prev_v = p_v_a[-1]
+                    w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
+                    resume, retry = fill(i + 1, soc_sc, soc_v)
+                    if resume > i + 1:
+                        deque(islice(steps, resume - i - 1), maxlen=0)
+                    prev_v = w_v[resume - 1]
                     continue
                 p_v = _sustainable_power(u, q)
                 if lo > p_v:
@@ -528,31 +531,28 @@ def _run(
             soc = 0.0
         soc_v = cap_v if cap_v < soc else soc
 
-        put_sc(p_sc)
-        put_v(p_v)
-        put_soc_sc(soc_sc)
-        put_soc_v(soc_v)
+        w_sc[i] = p_sc
+        w_v[i] = p_v
+        w_soc_sc[i] = soc_sc
+        w_soc_v[i] = soc_v
         prev_v = p_v
-    del steps  # the loop's lists of the load and the modes
+    return rth, flag_sc, engaged
 
-    sc = np.array(p_sc_a)
-    vrfb = np.array(p_v_a)
+
+def _summarize(
+    load: np.ndarray, engaged: np.ndarray, out: np.ndarray, p_max: float
+) -> tuple[np.ndarray, UtilizationStats]:
+    """The grid slack ``(p_load - p_sc) - p_vrfb`` of a :func:`_run`, and its summary."""
+    sc, vrfb = out[0], out[1]
     grid = (load - sc) - vrfb
     load_energy = float(load.sum())
     grid_peak = float(grid.max())
-    stats = UtilizationStats(
+    return grid, UtilizationStats(
         sc_engaged_fraction=float(np.mean(engaged)),
         sc_energy_share=float(np.clip(sc, 0.0, None).sum() / load_energy),
         vrfb_energy_share=float(np.clip(vrfb, 0.0, None).sum() / load_energy),
         grid_peak_kw=grid_peak,
         grid_peak_reduction_fraction=(p_max - grid_peak) / p_max,
-    )
-    return DispatchResult(
-        dt=dt, base_power_kw=p_max,
-        p_load_kw=load, p_grid_kw=grid, p_sc_kw=sc, p_vrfb_kw=vrfb,
-        soc_sc_kwh=np.array(soc_sc_a), soc_vrfb_kwh=np.array(soc_v_a),
-        flag_sc=flag_sc, engaged_sc=engaged,
-        recharge_threshold=rth, stats=stats,
     )
 
 
@@ -570,10 +570,9 @@ _RECHARGE_STEP = re.compile(re.escape(bytes([_RECHARGE])))
 
 def _fill_battery_empty(
     load: np.ndarray, mode: np.ndarray, thr_kw: float, rth_kw: float, pow_sc: float,
-    pow_v: float, q: float, p_sc_a: list, p_v_a: list, soc_sc_a: list, soc_v_a: list,
-    i: int, soc_sc: float, soc_v: float,
-) -> int:
-    """Append the run of steps from ``i`` that leave an empty, resting VRFB as it is.
+    pow_v: float, q: float, out: np.ndarray, i: int, soc_sc: float, soc_v: float,
+) -> tuple[int, int]:
+    """Write the run of steps from ``i`` that leave an empty, resting VRFB as it is.
 
     The state at step ``i`` must be ``soc_v == 0.0`` and ``prev_v == 0.0``
     with ``q > 0``. Then no step can charge or move the battery except a
@@ -588,13 +587,13 @@ def _fill_battery_empty(
     ``0.0`` on a ``-0.0`` power step, so such a VRFB fills nothing and such
     an SC counts as charged.
 
-    The run is searched and filled ``_FILL_WINDOW`` steps at a time, and
-    only if it is at least ``_FILL_MIN_RUN`` long. Returns the index of the
-    step that ends the run (or ``len(mode)``): the loop resumes there, and
-    before it a new try would find the same, or a shorter, run.
+    The run is searched and written into ``out`` as :func:`_run` does,
+    ``_FILL_WINDOW`` steps at a time, if it is at least ``_FILL_MIN_RUN``
+    long. Returns where the loop resumes and the step that ends the run (or
+    ``len(mode)``): a try before it would find the same run, or a shorter one.
     """
     if math.copysign(1.0, soc_v) < 0.0:
-        return i
+        return i, i
     sc_empty = math.copysign(1.0, soc_sc) > 0.0 and soc_sc == 0.0
     moving = _RECHARGE_STEP if sc_empty else _ACTIVE_STEP
     start, n = i, mode.size
@@ -602,31 +601,29 @@ def _fill_battery_empty(
         hit = moving.search(mode, i, i + _FILL_WINDOW)
         end = hit.start() if hit else min(i + _FILL_WINDOW, n)
         if end - start < _FILL_MIN_RUN:
-            return end
+            return start, end
         p_load = load[i:end]
         if sc_empty:
             p_sc = p_load - thr_kw
             p_sc = np.where(0.0 > p_sc, 0.0, p_sc)
             p_sc = np.where(pow_sc < p_sc, pow_sc, p_sc)
             p_sc = np.where(0.0 < p_sc, 0.0, p_sc)  # avail = 0.0
-            p_sc = np.where(mode[i:end] == _ENGAGED, p_sc, 0.0)
+            out[0, i:end] = np.where(mode[i:end] == _ENGAGED, p_sc, 0.0)
         else:
-            p_sc = np.zeros(end - i)
+            out[0, i:end] = 0.0
+        p_sc = out[0, i:end]
         target = (p_load - np.where(0.0 > p_sc, 0.0, p_sc)) - rth_kw
         target = np.where(0.0 > target, 0.0, target)
         p_v = np.where(pow_v < target, pow_v, target)
         p_v = np.where(-pow_v > p_v, -pow_v, p_v)
         p_v = np.where(0.0 + q < p_v, 0.0 + q, p_v)
         p_v = np.where(0.0 - q > p_v, 0.0 - q, p_v)
-        p_v = np.where(p_v > 0.0, 0.0, p_v)  # the reserve with u = 0.0
-        p_sc_a.extend(p_sc.tolist())
-        p_v_a.extend(p_v.tolist())
-        soc_sc_a.extend([soc_sc] * (end - i))
-        soc_v_a.extend([soc_v] * (end - i))
+        out[1, i:end] = np.where(p_v > 0.0, 0.0, p_v)  # the reserve with u = 0.0
+        out[2:, i:end] = ((soc_sc,), (soc_v,))
         i = end
         if hit:
             break
-    return i
+    return i, i
 
 
 def threshold_sweep(
@@ -643,7 +640,8 @@ def threshold_sweep(
     The load in kW, the steep-derivative mask and the base-load estimate do
     not depend on the threshold, so they are computed once for the whole
     sweep; the flags, the recharge threshold and the loop run once per
-    threshold.
+    threshold. Each run writes every step, so all of them share one set of
+    output arrays, and no :class:`DispatchResult` is built.
     """
     prev = 0.0
     for thr in thresholds:
@@ -654,11 +652,13 @@ def threshold_sweep(
         prev = thr
     if len(thresholds) == 0:
         return []
-    prep = _prep(norm, cfg)
-    return [
-        (float(thr), _run(norm, replace(cfg, sc_threshold=thr), dev, *prep).stats)
-        for thr in thresholds
-    ]
+    load, steep, base = _prep(norm, cfg)
+    out = np.empty((4, norm.n_samples))
+    rows = []
+    for thr in thresholds:
+        engaged = _run(norm, replace(cfg, sc_threshold=thr), dev, load, steep, base, out)[2]
+        rows.append((float(thr), _summarize(load, engaged, out, norm.base_power_kw)[1]))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -180,7 +182,8 @@ class LoadProfile:
     dt : float
         Sample interval in seconds, > 0.
     samples : numpy.ndarray
-        Power values in kW; finite, non-negative, at least two samples.
+        Power values in kW; finite, non-negative, at least two samples. Their
+        sum must be within half the float range, and the sum times ``dt`` finite.
     """
 
     site_id: str
@@ -202,6 +205,12 @@ class LoadProfile:
             raise InvalidProfileError("samples must be non-negative kilowatts")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        # Half the float range leaves room for the few ulps by which a rescaled
+        # copy of the samples (dispatch's pu * P) may sum higher.
+        if not (total <= sys.float_info.max / 2 and math.isfinite(total * self.dt)):
+            raise InvalidProfileError("samples too large: their total energy overflows a float")
 
     def __eq__(self, other):
         if not isinstance(other, LoadProfile):
@@ -560,6 +569,9 @@ def read_catalog(manifest_path: Union[str, Path]) -> list[CatalogEntry]:
             path, site_id = item["path"], item["site_id"]
             if not (isinstance(path, str) and isinstance(site_id, str)):
                 raise TypeError(f"path and site_id must be strings, got {path!r} and {site_id!r}")
+            if "\x00" in path:
+                raise ValueError(f"path contains a NUL character: {path!r}")
+            os.fsencode(path)  # a lone surrogate raises UnicodeEncodeError, a ValueError
             hint = Category(item.get("category_hint", "Unknown"))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRowError(i + 1, f"bad catalog entry: {exc}") from None

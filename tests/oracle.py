@@ -27,21 +27,7 @@ def naive_dispatch(pu, dt, p_max, cfg, dev):
     thr_kw = cfg.sc_threshold * p_max
     rth = cfg.recharge_threshold
     rth_kw = rth * p_max
-    use_deriv = cfg.sc_engage_mode.value == "ThresholdOrDerivative"
-
-    # forward differences, normalized by the largest magnitude, zero-padded
-    diffs = []
-    for i in range(n - 1):
-        diffs.append((pu[i + 1] - pu[i]) / dt)
-    peak = 0.0
-    for d in diffs:
-        if abs(d) > peak:
-            peak = abs(d)
-    if peak > 0.0:
-        dnorm = [d / peak for d in diffs]
-    else:
-        dnorm = [0.0] * (n - 1)
-    dnorm.append(0.0)
+    engaged_at = naive_engaged(pu, dt, cfg)
 
     r_sc = dev.sc_power_kw if dev.sc_recharge_power_kw is None else dev.sc_recharge_power_kw
     r_v = dev.vrfb_power_kw if dev.vrfb_recharge_power_kw is None else dev.vrfb_recharge_power_kw
@@ -57,9 +43,7 @@ def naive_dispatch(pu, dt, p_max, cfg, dev):
     for t in range(n):
         x = pu[t]
         p_load = x * p_max
-        engaged = x > cfg.sc_threshold
-        if use_deriv and abs(dnorm[t]) > cfg.derivative_threshold:
-            engaged = True
+        engaged = engaged_at[t]
         recharging = x < rth
         sc_was_full = soc_sc >= cap_sc
 
@@ -114,6 +98,35 @@ def naive_dispatch(pu, dt, p_max, cfg, dev):
         prev = p_v
 
     return out_sc, out_v, out_g, out_soc_sc, out_soc_v
+
+
+def naive_engaged(pu, dt, cfg):
+    """Per step, whether the SC engages: above the threshold or, in
+    ThresholdOrDerivative mode, on a steep normalized forward derivative."""
+    n = len(pu)
+    use_deriv = cfg.sc_engage_mode.value == "ThresholdOrDerivative"
+
+    # forward differences, normalized by the largest magnitude, zero-padded
+    diffs = []
+    for i in range(n - 1):
+        diffs.append((pu[i + 1] - pu[i]) / dt)
+    peak = 0.0
+    for d in diffs:
+        if abs(d) > peak:
+            peak = abs(d)
+    if peak > 0.0:
+        dnorm = [d / peak for d in diffs]
+    else:
+        dnorm = [0.0] * (n - 1)
+    dnorm.append(0.0)
+
+    out = []
+    for t in range(n):
+        engaged = pu[t] > cfg.sc_threshold
+        if use_deriv and abs(dnorm[t]) > cfg.derivative_threshold:
+            engaged = True
+        out.append(engaged)
+    return out
 
 
 def _wind_down_sum(p, q):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
 from hessplit.cli import _DEV_FIELDS, _EMS_FIELDS, CONFIG_ENV_VAR, _parse_range, main
 from hessplit.errors import InvalidRangeError
+from hessplit.profiles import _parse_loadtxt
 from hessplit.transient import MAX_BINS
 
 
@@ -94,6 +95,8 @@ def test_analyze_manifest(capsys, tmp_path, rng):
     '[{"path": "one.csv", "site_id": 4}]',
     '[{"path": "one.csv"}]',
     '[{"path": "one.csv", "site_id": "a"',
+    '[{"path": "one.csv\\u0000", "site_id": "a"}]',
+    '[{"path": "\\ud800", "site_id": "a"}]',
 ])
 def test_analyze_malformed_manifest_exits_2(capsys, tmp_path, manifest):
     path = tmp_path / "catalog.json"
@@ -101,6 +104,33 @@ def test_analyze_malformed_manifest_exits_2(capsys, tmp_path, manifest):
     code, _, err = run(capsys, "analyze", str(path), "--manifest")
     assert code == 2
     assert err.startswith("error: row 1:")
+
+
+_JSON_TEXT = st.text(max_size=4) | st.sampled_from(
+    ["one.csv", "missing.csv", "", ".", "/", "../one.csv", "one.csv\x00", "\ud800", "PS"])
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["path", "site_id", "category_hint"]) | st.text(max_size=3), inner,
+        max_size=4),
+    max_leaves=8,
+)
+_MANIFEST_ENTRY = st.fixed_dictionaries(
+    {"path": _JSON_TEXT, "site_id": _JSON_TEXT},
+    optional={"category_hint": st.sampled_from(["PS", "UPS", "Unknown"]) | _JSON_VALUE})
+
+
+# every manifest here names at most a few copies of one 400-sample profile
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=st.lists(_MANIFEST_ENTRY, max_size=3) | _JSON_VALUE)
+def test_no_manifest_is_an_internal_error(capsys, tmp_path, profile_csv, manifest):
+    (tmp_path / "one.csv").write_bytes(profile_csv.read_bytes())
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(manifest))
+    code = _exit_code("analyze", str(path), "--manifest", "--out", str(tmp_path / "r.json"))
+    event(f"exit {code}")
+    assert code in (0, 2), capsys.readouterr().err
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -126,6 +156,23 @@ def test_analyze_non_finite_timestamp_exits_2(capsys, tmp_path, row):
     code, out, err = run(capsys, "analyze", str(bad))
     assert code == 2 and out == ""
     assert err == f"error: row {row}: timestamp must be finite, got 'nan'\n"
+
+
+@pytest.mark.parametrize("stamp", [str, lambda i: f"2024-01-01T00:{i // 60:02d}:{i % 60:02d}Z"],
+                         ids=["numpy-path", "row-parser"])
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["dispatch"], ["sweep", "--range", "0.5:0.9:0.2"]],
+    ids=lambda argv: argv[0])
+def test_overflowing_profile_exits_2(capsys, tmp_path, command, stamp):
+    # every finite power, but their sum is not: 200 of 1e308
+    rows = [f"{stamp(i)},{0.0 if i % 3 == 0 else 1e308}" for i in range(300)]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(["timestamp,power_kw", *rows]) + "\n")
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert (_parse_loadtxt(fh, False) is None) is (stamp is not str)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: samples too large: their total energy overflows a float\n"
 
 
 def test_analyze_header_only_has_no_warning(capsys, tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +18,13 @@ from hessplit import (
     EngageMode,
     Limiting,
     LoadProfile,
+    MachineSpec,
+    MunicipalSpec,
+    UtilizationStats,
     compute_flags,
     dispatch,
+    gen_machine,
+    gen_municipal,
     make_ups_scenario,
     normalize,
     threshold_sweep,
@@ -38,7 +45,7 @@ from hessplit.errors import (
     WindowOutOfRangeError,
 )
 from hessplit.metrics import NormalizedProfile
-from oracle import _largest_sustainable, naive_dispatch, naive_window_check
+from oracle import _largest_sustainable, naive_dispatch, naive_engaged, naive_window_check
 
 
 def _norm(pu, dt=1.0, p_max=10.0):
@@ -105,6 +112,14 @@ def test_flags_partition_every_step(pu, thr):
     assert np.all(flags.flag_sc ^ flags.flag_vrfb)
     on_boundary = np.asarray(pu) == thr
     assert np.all(flags.flag_vrfb[on_boundary])
+
+
+def test_flag_vrfb_is_the_read_only_complement():
+    flags = compute_flags(_norm([0.2, 0.9, 0.8, 1.0]), EmsConfig())
+    assert flags.flag_vrfb.tobytes() == (~flags.flag_sc).tobytes()
+    assert not flags.flag_vrfb.flags.writeable
+    with pytest.raises(ValueError):
+        flags.flag_vrfb[0] = False
 
 
 # --- dispatch stepping ---
@@ -270,6 +285,8 @@ _EMPTY_RUN_CASES = {
     "at-recharge-threshold": (EngageMode.THRESHOLD_OR_DERIVATIVE, 0.2, {}, 1.0),
     "infinite-ramp": (EngageMode.THRESHOLD_OR_DERIVATIVE, 0.2, {"vrfb_ramp_kw_per_s": 1e308}, 10.0),
     "negative-zero-sc": (EngageMode.THRESHOLD_ONLY, 0.2, {"sc_initial_soc_fraction": -0.0}, 1.0),
+    "negative-zero-sc-idle": (EngageMode.THRESHOLD_ONLY, 0.2, {"sc_initial_soc_fraction": -0.0},
+                              1.0),
     "negative-zero-vrfb": (EngageMode.THRESHOLD_ONLY, 0.0, {"vrfb_initial_soc_fraction": -0.0},
                            1.0),
 }
@@ -280,7 +297,8 @@ _EMPTY_RUN_CASES = {
 def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
     # step 0 finds the battery empty and at rest; steps 1..run cannot move
     # the state; step run + 1 can (or, with no recharge, just ends the run
-    # for a charged SC); a short tail follows
+    # for a charged SC); a short tail follows. The profile is then cut after
+    # step run, so that the run ends at the last step.
     mode, rth, overrides, dt = _EMPTY_RUN_CASES[case]
     pu = rng.uniform(0.3, 0.7, size=run + 8)
     body = pu[1:run + 1]
@@ -298,30 +316,97 @@ def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
     cfg = EmsConfig(sc_threshold=0.8, recharge_threshold=rth, sc_engage_mode=mode)
     dev = DeviceParams(**{"vrfb_initial_soc_fraction": 0.0, "sc_initial_soc_fraction": 0.0,
                           **overrides})
-    norm = _norm(pu, dt=dt)
 
     calls = []
     real = ems._sustainable_power
     monkeypatch.setattr(ems, "_sustainable_power", lambda u, q: calls.append(u) or real(u, q))
+    for steps in (pu, pu[:run + 1]):
+        calls.clear()
+        norm = _norm(steps, dt=dt)
+        res = dispatch(norm, cfg, dev)
+        o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(
+            norm.pu.tolist(), dt, norm.base_power_kw, cfg, dev)
+        assert res.p_sc_kw.tobytes() == np.array(o_sc).tobytes()
+        assert res.p_vrfb_kw.tobytes() == np.array(o_v).tobytes()
+        assert res.p_grid_kw.tobytes() == np.array(o_g).tobytes()
+        assert res.soc_sc_kwh.tobytes() == np.array(o_ssc).tobytes()
+        assert res.soc_vrfb_kwh.tobytes() == np.array(o_sv).tobytes()
+        assert res.soc_vrfb_kwh[run] == 0.0
+        if case == "negative-zero-vrfb":
+            continue  # a -0.0 battery is never filled; every step of it is scalar
+        # the scalar loop calls _sustainable_power on the run's steps with a
+        # positive VRFB target; a filled run, only on the tail's few steps. A
+        # -0.0 SC counts as charged, so its run starts one step later, after
+        # the engaged step 1 has turned the -0.0 into 0.0.
+        if run - (case == "negative-zero-sc") >= ems._FILL_MIN_RUN:
+            assert len(calls) <= 8
+        else:
+            assert len(calls) > run // 2
+
+
+@pytest.mark.parametrize("mode", list(EngageMode))
+def test_int_config_matches_naive_oracle(rng, mode):
+    # int fields, as a JSON config file gives them: the kernel stores the int
+    # powers it clamps to as the doubles that lists of the oracle's steps make
+    dev = DeviceParams(**json.loads('{"vrfb_power_kw": 5, "sc_power_kw": 3}'))
+    cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=mode)
+    pu = rng.uniform(0.0, 1.0, size=600)
+    pu[17] = 1.0
+    norm = _norm(pu, p_max=20.0)
     res = dispatch(norm, cfg, dev)
-    o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(
-        norm.pu.tolist(), dt, norm.base_power_kw, cfg, dev)
-    assert res.p_sc_kw.tobytes() == np.array(o_sc).tobytes()
-    assert res.p_vrfb_kw.tobytes() == np.array(o_v).tobytes()
-    assert res.p_grid_kw.tobytes() == np.array(o_g).tobytes()
-    assert res.soc_sc_kwh.tobytes() == np.array(o_ssc).tobytes()
-    assert res.soc_vrfb_kwh.tobytes() == np.array(o_sv).tobytes()
-    assert res.soc_vrfb_kwh[run] == 0.0
-    if case == "negative-zero-vrfb":
-        return  # a -0.0 battery is never filled; every step of it is scalar
-    # the scalar loop calls _sustainable_power on the run's steps with a
-    # positive VRFB target; a filled run, only on the tail's few steps. A
-    # -0.0 SC counts as charged, so its run starts one step later, after
-    # the engaged step 1 has turned the -0.0 into 0.0.
-    if run - (case == "negative-zero-sc") >= ems._FILL_MIN_RUN:
-        assert len(calls) <= 8
-    else:
-        assert len(calls) > run // 2
+
+    pu_l = norm.pu.tolist()
+    o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(pu_l, 1.0, 20.0, cfg, dev)
+    assert {type(x) for x in o_sc} == {type(x) for x in o_v} == {int, float}
+    load = np.array([x * 20.0 for x in pu_l])
+    sc, vrfb, grid = (np.array(o, dtype=np.float64) for o in (o_sc, o_v, o_g))
+    flag_sc = np.array([x > 0.8 for x in pu_l])
+    engaged = np.array(naive_engaged(pu_l, 1.0, cfg))
+    got = (res.p_load_kw, res.p_grid_kw, res.p_sc_kw, res.p_vrfb_kw, res.soc_sc_kwh,
+           res.soc_vrfb_kwh, res.flag_sc, res.engaged_sc)
+    want = (load, grid, sc, vrfb, np.array(o_ssc, dtype=np.float64),
+            np.array(o_sv, dtype=np.float64), flag_sc, engaged)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+
+    energy, peak = float(load.sum()), float(grid.max())
+    stats = UtilizationStats(
+        sc_engaged_fraction=float(np.mean(engaged)),
+        sc_energy_share=float(np.clip(sc, 0.0, None).sum() / energy),
+        vrfb_energy_share=float(np.clip(vrfb, 0.0, None).sum() / energy),
+        grid_peak_kw=peak,
+        grid_peak_reduction_fraction=(20.0 - peak) / 20.0,
+    )
+    assert repr(res.stats) == repr(stats)
+    assert repr(threshold_sweep(norm, [0.8], cfg, dev)) == repr([(0.8, stats)])
+
+
+# --- memory ---
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dispatch_memory_per_step_is_bounded():
+    # The traces go into preallocated float64 arrays: the peak is about 100
+    # bytes per step (load, grid and four traces, their frozen copies, the
+    # flags). Per-step Python floats kept in lists took over 200.
+    norm = normalize(gen_machine(MachineSpec(days=1))[0])
+    assert _traced_peak(lambda: dispatch(norm)) < 120 * norm.n_samples
+
+
+def test_sweep_memory_does_not_grow_with_thresholds():
+    norm = normalize(gen_municipal(MunicipalSpec(days=1))[0])
+    one = _traced_peak(lambda: threshold_sweep(norm, [0.8]))
+    five = _traced_peak(lambda: threshold_sweep(norm, [0.5, 0.6, 0.7, 0.8, 0.9]))
+    # one array of a byte per step kept per threshold would show here
+    assert five < one + norm.n_samples
+    assert five < 80 * norm.n_samples  # one set of traces, no DispatchResult
 
 
 # --- reserve helpers ---

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hessplit import (
     Category,
+    EmsConfig,
     LoadProfile,
+    dispatch,
     load_catalog,
+    normalize,
     parse_profile,
     parse_profile_file,
     read_catalog,
@@ -21,6 +28,7 @@ from hessplit import (
     validate_resolution,
     write_profile_csv,
 )
+from hessplit.cli import main
 from hessplit.errors import (
     EmptyInputError,
     InvalidProfileError,
@@ -168,6 +176,18 @@ def test_profile_validation():
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, -2.0]))
     with pytest.raises(InvalidProfileError):
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, np.nan]))
+
+
+def test_profile_energy_must_fit_a_float():
+    quarter = sys.float_info.max / 4
+    edge = LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([quarter, 0.0, quarter]))
+    res = dispatch(normalize(edge), EmsConfig(recharge_threshold=0.0))  # largest sum accepted
+    assert math.isfinite(res.p_load_kw.sum())
+    assert all(math.isfinite(v) for v in dataclasses.astuple(res.stats))
+    for dt, samples in [(1.0, [quarter, quarter, quarter]), (4.0, [quarter, 0.0, quarter]),
+                        (1.0, [1e308, 1e308])]:
+        with pytest.raises(InvalidProfileError, match="total energy overflows a float"):
+            LoadProfile(site_id="x", t0=0.0, dt=dt, samples=np.array(samples))
 
 
 def test_samples_are_immutable(make_profile):
@@ -347,3 +367,48 @@ def test_undecodable_file_fails_as_row_parser(tmp_path, at):
     assert got[0] is UnicodeDecodeError
     with path.open("r", encoding="utf-8", newline="") as fh:
         assert got == _outcome(_reference(fh, False))
+
+
+_CSV_FIELD = st.one_of(
+    st.integers(-2, 30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "1e308", "-0.0", "nan", "inf", "x", '"1"', "1_0", "#1",
+                     "2024-01-01T00:00:00Z", "2024-01-01T00:00:01+00:00", "\ufeff1"]),
+)
+_CSV_TEXT = st.builds(
+    lambda head, rows, eol: eol.join([head, *rows]) + eol,
+    st.sampled_from(["timestamp,power_kw", "\ufefftimestamp,power_kw", " timestamp , power_kw",
+                     "time,power", ""]),
+    st.one_of(
+        st.lists(st.lists(_CSV_FIELD, max_size=3).map(",".join), max_size=6),
+        # one second apart, so most of these parse
+        st.lists(st.floats(0.0, 1e6).map(repr) | _CSV_FIELD, min_size=2, max_size=6).map(
+            lambda powers: [f"{i},{p}" for i, p in enumerate(powers)]),
+    ),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+# every accepted input here has at most a handful of rows, so a regression
+# shows as a failure or exit 3, not as a hang
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CSV_TEXT.map(str.encode) | st.binary(max_size=40), clamp=st.booleans())
+def test_no_profile_csv_is_an_internal_error(capsys, tmp_path, data, clamp):
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    from_file = _outcome(lambda: parse_profile_file(path, site_id="", clamp_negative=clamp))
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert from_file == _outcome(_reference(fh, clamp))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    else:
+        got = _outcome(lambda: parse_profile(text, clamp_negative=clamp))
+        assert got == _outcome(_reference(text, clamp))
+        assert _outcome(lambda: parse_profile(data, clamp_negative=clamp)) == got
+
+    flags = ["--clamp-negative"] if clamp else []
+    code = main(["analyze", str(path), "--out", str(tmp_path / "r.json"), *flags])
+    assert code in (0, 2), capsys.readouterr().err
