@@ -20,14 +20,10 @@ arrays allocated once per run (a sweep shares one set among its thresholds),
 so no Python object outlives its step.
 
 One fixed point of that recurrence is skipped. Once the VRFB is empty and at
-rest (``soc_v == 0.0`` and the previous VRFB power a zero), no step before
-the next one that can move the state changes either SoC: the battery cannot
-discharge, and only a recharge step (or an engaged step while the SC holds
-charge) touches the SC. Each step of such a run is then the contract's
-expressions with the state held constant, so the run is written in numpy
-windows with the same expressions and tie rules (``np.where`` keeps the
-first argument on ties just as the conditionals do), and the loop resumes
-at the step that ends it. Outputs are byte-identical to the scalar steps.
+rest, neither device serves until a step that can move the state, and the
+grid carries the load. :func:`_fill_battery_empty` writes such a run in numpy
+windows as what the contract's step reduces to there (its docstring gives
+the argument), byte-identical to the scalar steps.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
@@ -247,30 +242,14 @@ class DispatchResult:
         return np.arange(self.n_steps) * self.dt
 
 
-def _stop_energy_sum(p: float, q: float) -> float:
-    """Power-sum of discharging at ``p`` then ramping to zero at ``q`` per step.
-
-    Returns ``sum_{k>=0} max(p - k*q, 0)``; multiplied by the step energy
-    factor this is the minimum energy a ramp-limited device needs to carry
-    power ``p`` for one step and still wind down legally. Evaluated exactly
-    as ``(m + 1) * p - q * (m * (m + 1) / 2.0)`` with ``m = int(p // q)``
-    (contractual expression: reimplementations must round identically).
-    """
-    if p <= 0.0:
-        return 0.0
-    if math.isinf(q):
-        return p
-    m = int(p // q)
-    return (m + 1) * p - q * (m * (m + 1) / 2.0)
-
-
 def _sustainable_power(u: float, q: float) -> float:
-    """Largest ``p`` with ``_stop_energy_sum(p, q) <= u``.
+    """Largest ``p`` whose wind-down sum ``need`` (see :func:`dispatch`) is ``<= u``.
 
     Evaluated exactly as ``(u + q * (m * (m + 1) / 2.0)) / (m + 1)`` for the
     largest integer ``m`` with ``q * ((m + 1) * (m + 2) / 2.0) <= u``
-    (contractual expression, as above). Infinite ``u`` means no energy
-    limit; infinite ``q`` means the whole charge is usable in one step.
+    (contractual expression: reimplementations must round identically).
+    Infinite ``u`` means no energy limit; infinite ``q`` means the whole
+    charge is usable in one step.
     """
     if math.isinf(u):
         return math.inf
@@ -361,7 +340,10 @@ def dispatch(
         p = min(p, prev + q);           p = max(p, prev - q)
         if p > 0.0:
             u = soc_v / step_kwh * eff
-            if _stop_energy_sum(p, q) > u:
+            # need = sum(max(p - k*q, 0) for k >= 0): carry p, then ramp to 0
+            if q == inf: need = p
+            else:        m = int(p // q); need = (m + 1) * p - q * (m * (m + 1) / 2.0)
+            if need > u:
                 p = _sustainable_power(u, q); p = max(p, prev - q)
 
         p_grid = p_load - p_sc - p
@@ -433,7 +415,8 @@ def _run(
     empty, resting battery with a positive VRFB target reaches, so other
     steps pay nothing for it. The SC's end-of-step SoC is therefore settled
     before the VRFB's part of the step. No try is made before ``retry``, the
-    step that ended the last run tried.
+    step that ended the last run tried, and none if ``thr_kw`` underflows to
+    0.0: an engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
     """
     rth = _recharge_threshold(cfg, base)
     step_kwh = norm.dt / 3600.0
@@ -460,8 +443,7 @@ def _run(
     prev_v = 0.0
 
     w_sc, w_v, w_soc_sc, w_soc_v = map(memoryview, out)
-    fill = partial(_fill_battery_empty, load, mode, thr_kw, rth_kw, pow_sc, pow_v, q, out)
-    retry = 0  # no battery-empty run is tried before this step
+    retry = 0 if thr_kw > 0.0 else mode.size  # no battery-empty run is tried before this step
     q_inf = math.isinf(q)
     steps = enumerate(zip(memoryview(load), mode.tobytes()))
     for i, (p_load, m) in steps:
@@ -505,19 +487,18 @@ def _run(
             p_v = lo
         if p_v > 0.0:
             u = soc_v / step_kwh * eff_v
-            # _stop_energy_sum(p_v, q), written out: p_v > 0 is known here
-            if q_inf:
+            if q_inf:  # the contract's need, for p_v > 0
                 need = p_v
             else:
                 k = int(p_v // q)
                 need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
             if need > u:
                 if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and i >= retry:
-                    # The battery is empty and at rest: this step ends with
-                    # p_v = _sustainable_power(u, q) = 0.0 and soc_v unchanged,
-                    # and the run after it is filled in numpy.
+                    # Empty and at rest: this step ends with p_v = 0.0 and
+                    # soc_v as it is, and the run after it is filled in numpy.
                     w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
-                    resume, retry = fill(i + 1, soc_sc, soc_v)
+                    resume, retry = _fill_battery_empty(
+                        load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
                     if resume > i + 1:
                         deque(islice(steps, resume - i - 1), maxlen=0)
                     prev_v = w_v[resume - 1]
@@ -569,22 +550,24 @@ _RECHARGE_STEP = re.compile(re.escape(bytes([_RECHARGE])))
 
 
 def _fill_battery_empty(
-    load: np.ndarray, mode: np.ndarray, thr_kw: float, rth_kw: float, pow_sc: float,
-    pow_v: float, q: float, out: np.ndarray, i: int, soc_sc: float, soc_v: float,
+    load: np.ndarray, mode: np.ndarray, rth_kw: float, out: np.ndarray, i: int,
+    soc_sc: float, soc_v: float,
 ) -> tuple[int, int]:
     """Write the run of steps from ``i`` that leave an empty, resting VRFB as it is.
 
-    The state at step ``i`` must be ``soc_v == 0.0`` and ``prev_v == 0.0``
-    with ``q > 0``. Then no step can charge or move the battery except a
-    recharge step, and none can move the SC except a recharge step or, while
-    the SC holds charge, an engaged one. Up to the first such step, both
-    SoCs stay as they are and every step is the contract's, evaluated
-    elementwise: ``avail`` is 0.0 on an SC at +0.0 (so engaged steps join
-    the run only then), ``prev_v`` is a signed zero, so the ramp bounds are
-    exactly ``q`` and ``-q``, and a positive VRFB power meets the reserve
-    with ``u = 0.0`` and becomes ``0.0``. Each ``min`` and ``max`` keeps the
-    builtin's tie rule, as in the loop. A SoC of ``-0.0`` would turn into
-    ``0.0`` on a ``-0.0`` power step, so such a VRFB fills nothing and such
+    The state at step ``i`` must be ``soc_v == 0.0`` and ``prev_v == 0.0``,
+    with ``q > 0`` and ``thr_kw > 0``. Then only a recharge step can move the
+    battery, and only a recharge step or, while the SC holds charge, an
+    engaged one can move the SC. Up to the first such step, the contract's
+    step reduces to zeros. ``p_sc`` is +0.0: an idle step sets it, and on an
+    engaged one ``avail = 0.0`` takes ``max(p_load - thr_kw, 0.0)``, never
+    -0.0, to +0.0. The VRFB target is then ``max(p_load - rth_kw, 0.0)``, and
+    ``prev_v`` is a signed zero, so the ramp bounds are ``q`` and ``-q``: no
+    clamp moves a signed-zero target, and a positive one meets the reserve
+    with ``u = 0.0`` and becomes +0.0. ``p_vrfb`` is thus ``p_load - rth_kw``
+    where that is a signed zero (a -0.0 load with ``rth_kw = +0.0`` gives
+    -0.0), else +0.0. These powers hold both SoCs, but a SoC of -0.0 would
+    turn into 0.0 on a -0.0 power step: such a VRFB fills nothing, and such
     an SC counts as charged.
 
     The run is searched and written into ``out`` as :func:`_run` does,
@@ -602,23 +585,9 @@ def _fill_battery_empty(
         end = hit.start() if hit else min(i + _FILL_WINDOW, n)
         if end - start < _FILL_MIN_RUN:
             return start, end
-        p_load = load[i:end]
-        if sc_empty:
-            p_sc = p_load - thr_kw
-            p_sc = np.where(0.0 > p_sc, 0.0, p_sc)
-            p_sc = np.where(pow_sc < p_sc, pow_sc, p_sc)
-            p_sc = np.where(0.0 < p_sc, 0.0, p_sc)  # avail = 0.0
-            out[0, i:end] = np.where(mode[i:end] == _ENGAGED, p_sc, 0.0)
-        else:
-            out[0, i:end] = 0.0
-        p_sc = out[0, i:end]
-        target = (p_load - np.where(0.0 > p_sc, 0.0, p_sc)) - rth_kw
-        target = np.where(0.0 > target, 0.0, target)
-        p_v = np.where(pow_v < target, pow_v, target)
-        p_v = np.where(-pow_v > p_v, -pow_v, p_v)
-        p_v = np.where(0.0 + q < p_v, 0.0 + q, p_v)
-        p_v = np.where(0.0 - q > p_v, 0.0 - q, p_v)
-        out[1, i:end] = np.where(p_v > 0.0, 0.0, p_v)  # the reserve with u = 0.0
+        t = load[i:end] - rth_kw
+        out[0, i:end] = 0.0
+        out[1, i:end] = np.where(t == 0.0, t, 0.0)
         out[2:, i:end] = ((soc_sc,), (soc_v,))
         i = end
         if hit:
@@ -748,7 +717,7 @@ def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> 
     r = result
     write_csv(target, ["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
                        "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"], [
-        np.arange(r.n_steps) * r.dt, r.p_load_kw, r.p_grid_kw, r.p_sc_kw, r.p_vrfb_kw,
+        r.times(), r.p_load_kw, r.p_grid_kw, r.p_sc_kw, r.p_vrfb_kw,
         r.soc_sc_kwh, r.soc_vrfb_kwh, r.flag_sc.astype(np.int8),
     ])
 

@@ -180,7 +180,7 @@ class LoadProfile:
     t0 : float
         Epoch seconds (UTC) of the first sample.
     dt : float
-        Sample interval in seconds, > 0.
+        Sample interval in seconds, > 0, with a finite ``1 / dt``.
     samples : numpy.ndarray
         Power values in kW; finite, non-negative, at least two samples. Their
         sum must be within half the float range, and the sum times ``dt`` finite.
@@ -205,6 +205,8 @@ class LoadProfile:
             raise InvalidProfileError("samples must be non-negative kilowatts")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
+        if not math.isfinite(1.0 / self.dt):  # the derivative divides pu steps (<= 1) by dt
+            raise InvalidProfileError(f"dt={self.dt!r} s is too short: 1/dt overflows a float")
         with np.errstate(over="ignore"):
             total = float(arr.sum())
         # Half the float range leaves room for the few ulps by which a rescaled
@@ -238,6 +240,7 @@ class LoadProfile:
 
     def times(self) -> np.ndarray:
         """Epoch seconds of every sample."""
+        # t0 + i * dt for every i, bit for bit: arange's int-to-float is exact
         return self.t0 + np.arange(self.samples.size) * self.dt
 
 
@@ -460,19 +463,14 @@ def parse_profile_file(
         )
 
 
-def _profile_columns(profile: LoadProfile) -> tuple[np.ndarray, np.ndarray]:
-    # t0 + i * dt for every i, bit for bit: arange's int-to-float is exact
-    return profile.t0 + np.arange(profile.n_samples) * profile.dt, profile.samples
-
-
 def write_profile_csv(profile: LoadProfile, target: Union[str, Path, IO]) -> None:
     """Serialize a profile to the standard CSV format (full float precision)."""
-    write_csv(target, CSV_HEADER, _profile_columns(profile))
+    write_csv(target, CSV_HEADER, (profile.times(), profile.samples))
 
 
 def profile_csv_blocks(profile: LoadProfile) -> Iterator[str]:
     """The canonical CSV of :func:`write_profile_csv`, as :func:`csv_blocks`."""
-    return csv_blocks(CSV_HEADER, _profile_columns(profile))
+    return csv_blocks(CSV_HEADER, (profile.times(), profile.samples))
 
 
 def profile_to_csv(profile: LoadProfile) -> str:

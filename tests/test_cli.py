@@ -175,6 +175,35 @@ def test_overflowing_profile_exits_2(capsys, tmp_path, command, stamp):
     assert err == "error: samples too large: their total energy overflows a float\n"
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["numpy-path", "row-parser"])
+@pytest.mark.parametrize("command", ["analyze", "dispatch"])
+def test_subnormal_interval_exits_2(capsys, tmp_path, command, quote):
+    # 1 / 1e-310 overflows, and so would the derivative, which divides by dt
+    rows = [f"{quote}{i * 1e-310!r}{quote},{1 + i % 7}" for i in range(300)]
+    path = tmp_path / "tiny.csv"
+    path.write_text("\n".join(["timestamp,power_kw", *rows]) + "\n")
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert (_parse_loadtxt(fh, False) is None) is bool(quote)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: dt=1e-310 s is too short: 1/dt overflows a float\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "dispatch"])
+def test_shortest_interval_gives_strict_json(capsys, tmp_path, command):
+    # 1 / 5.6e-309 is just below the largest float
+    rows = [f"{i * 5.6e-309!r},{1 + i % 7}" for i in range(300)]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(["timestamp,power_kw", *rows]) + "\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in the output")
+
+    assert json.loads(out, parse_constant=reject)
+
+
 def test_analyze_header_only_has_no_warning(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("timestamp,power_kw\n")

@@ -31,7 +31,6 @@ from hessplit import (
 )
 from hessplit import ems
 from hessplit.ems import (
-    _stop_energy_sum,
     _sustainable_power,
     resolve_recharge_threshold,
     write_dispatch_csv,
@@ -45,7 +44,13 @@ from hessplit.errors import (
     WindowOutOfRangeError,
 )
 from hessplit.metrics import NormalizedProfile
-from oracle import _largest_sustainable, naive_dispatch, naive_engaged, naive_window_check
+from oracle import (
+    _largest_sustainable,
+    _wind_down_sum,
+    naive_dispatch,
+    naive_engaged,
+    naive_window_check,
+)
 
 
 def _norm(pu, dt=1.0, p_max=10.0):
@@ -282,6 +287,8 @@ _EMPTY_RUN_CASES = {
     "lossy": (EngageMode.THRESHOLD_OR_DERIVATIVE, 0.2,
               {"sc_efficiency": 0.8, "vrfb_efficiency": 0.9}, 1.0),
     "negative-zero-load": (EngageMode.THRESHOLD_ONLY, 0.0, {"sc_initial_soc_fraction": 0.3}, 1.0),
+    "negative-zero-threshold": (EngageMode.THRESHOLD_ONLY, -0.0,
+                                {"sc_initial_soc_fraction": 0.3}, 1.0),
     "at-recharge-threshold": (EngageMode.THRESHOLD_OR_DERIVATIVE, 0.2, {}, 1.0),
     "infinite-ramp": (EngageMode.THRESHOLD_OR_DERIVATIVE, 0.2, {"vrfb_ramp_kw_per_s": 1e308}, 10.0),
     "negative-zero-sc": (EngageMode.THRESHOLD_ONLY, 0.2, {"sc_initial_soc_fraction": -0.0}, 1.0),
@@ -304,7 +311,7 @@ def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
     body = pu[1:run + 1]
     if case in ("sc-empty-engaged", "lossy", "infinite-ramp", "negative-zero-sc"):
         body[::7] = 0.95  # threshold-engaged, and steep next to its neighbours
-    elif case == "negative-zero-load":
+    elif case in ("negative-zero-load", "negative-zero-threshold"):
         body[::3] = -0.0
     elif case == "at-recharge-threshold":
         body[::4] = rth
@@ -342,6 +349,24 @@ def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
             assert len(calls) <= 8
         else:
             assert len(calls) > run // 2
+
+
+def test_underflowing_sc_threshold_matches_scalar_loop(monkeypatch):
+    # sc_threshold * P rounds to 0.0, so an engaged -0.0 load on an empty SC
+    # gives p_sc = -0.0, not the +0.0 of every other step of an empty run
+    pu = np.full(400, 0.1)
+    pu[0] = 1.0
+    pu[5:350:4] = -0.0
+    pu[6:350:4] = 1.0  # each -0.0 step is engaged by the steep rise after it
+    norm = _norm(pu, p_max=5e-324)
+    cfg = EmsConfig(sc_threshold=0.3, recharge_threshold=0.0)
+    dev = DeviceParams(vrfb_initial_soc_fraction=0.0, sc_initial_soc_fraction=0.0)
+    res = dispatch(norm, cfg, dev)
+    assert np.signbit(res.p_sc_kw).any()
+    monkeypatch.setattr(ems, "_FILL_MIN_RUN", norm.n_samples + 1)  # no run is filled
+    scalar = dispatch(norm, cfg, dev)
+    for name in ("p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh", "soc_vrfb_kwh"):
+        assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
 
 
 @pytest.mark.parametrize("mode", list(EngageMode))
@@ -421,16 +446,16 @@ def test_stop_energy_sum_matches_series():
         return total
 
     for p, q in [(5.0, 2.5), (5.0, 2.0), (1.0, 10.0), (7.3, 1.1), (0.0, 1.0)]:
-        assert _stop_energy_sum(p, q) == pytest.approx(longhand(p, q))
-    assert _stop_energy_sum(4.0, float("inf")) == 4.0
+        assert _wind_down_sum(p, q) == pytest.approx(longhand(p, q))
+    assert _wind_down_sum(4.0, float("inf")) == 4.0
 
 
 def test_sustainable_power_inverts_stop_sum():
     for u, q in [(3.6, 2.5), (10.0, 1.0), (0.4, 2.5), (100.0, 0.3), (1e6, 1e-20)]:
         p = _sustainable_power(u, q)
-        assert _stop_energy_sum(p, q) <= u + 1e-9
+        assert _wind_down_sum(p, q) <= u + 1e-9
         # a hair more power would break the budget
-        assert _stop_energy_sum(p * (1.0 + 1e-9) + 1e-12, q) > u
+        assert _wind_down_sum(p * (1.0 + 1e-9) + 1e-12, q) > u
     assert _sustainable_power(0.0, 1.0) == 0.0
     assert _sustainable_power(float("inf"), 1.0) == float("inf")
     assert _sustainable_power(5.0, float("inf")) == 5.0
