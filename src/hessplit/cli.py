@@ -105,7 +105,11 @@ def _parse_range(text: str) -> list[float]:
     last = (hi - lo) / step + 1e-9  # index of hi, with slack for float error
     if last >= MAX_RANGE_POINTS:
         raise InvalidRangeError(f"range {text!r} names more than {MAX_RANGE_POINTS} thresholds")
-    return [round(lo + i * step, 12) for i in range(int(last) + 1)]
+    thresholds = [round(lo + i * step, 12) for i in range(int(last) + 1)]
+    if not (0.0 < thresholds[0] and thresholds[-1] < 1.0):  # rounding keeps the order
+        raise InvalidRangeError(f"range {text!r} rounds to thresholds outside (0, 1): "
+                                f"{thresholds[0]}..{thresholds[-1]}")
+    return thresholds
 
 
 def _warn(message, *_) -> None:

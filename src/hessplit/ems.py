@@ -24,6 +24,10 @@ rest, neither device serves until a step that can move the state, and the
 grid carries the load. :func:`_fill_battery_empty` writes such a run in numpy
 windows as what the contract's step reduces to there (its docstring gives
 the argument), byte-identical to the scalar steps.
+
+A sweep's next point starts from the previous point's trace in the shared
+arrays and simulates only the steps a higher threshold can change, plus
+those until the two states meet again (:func:`_run` gives the argument).
 """
 
 from __future__ import annotations
@@ -398,6 +402,7 @@ _ENGAGED, _RECHARGE = 1, 2
 def _run(
     norm: NormalizedProfile, cfg: EmsConfig, dev: DeviceParams, load: np.ndarray,
     steep: Optional[np.ndarray], base: Optional[float], out: np.ndarray,
+    prev_thr_kw: Optional[float] = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One dispatch on inputs from :func:`_prep` (the ``dispatch`` contract).
 
@@ -417,6 +422,20 @@ def _run(
     before the VRFB's part of the step. No try is made before ``retry``, the
     step that ended the last run tried, and none if ``thr_kw`` underflows to
     0.0: an engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
+
+    ``prev_thr_kw`` says that ``out`` holds the run at a threshold ``a <=
+    sc_threshold`` with ``a * P == prev_thr_kw`` and a recharge threshold of
+    the same bits. Both runs take the same step from the same state, except
+    on ``differs``: the steps that do not recharge and have ``p_load >=
+    a * P``. The step reads the threshold only in the flag ``pu > thr`` and,
+    if engaged, in ``p_load - thr_kw``. Flags differ only where ``pu > a``,
+    so where ``p_load >= a * P``: multiplying by ``P > 0`` keeps the order.
+    An engaged ``p_load < a * P`` gives ``p_load - thr_kw < 0`` for both (a
+    float ``x - y`` is never zero when ``x < y``), so +0.0 SC excesses, also
+    if ``a * P`` underflows to 0.0. So the loop starts at the first step of
+    ``differs``, from out's state before it. Where it meets out's end state
+    again (checked at the battery-empty test only), it keeps out's steps up
+    to the next step of ``differs``, unless the fill has written past that.
     """
     rth = _recharge_threshold(cfg, base)
     step_kwh = norm.dt / 3600.0
@@ -443,9 +462,15 @@ def _run(
     prev_v = 0.0
 
     w_sc, w_v, w_soc_sc, w_soc_v = map(memoryview, out)
+    start, differs = 0, None
+    if prev_thr_kw is not None:
+        differs = ((mode != _RECHARGE) & (load >= prev_thr_kw)).tobytes()
+        start = differs.find(1) if 1 in differs else mode.size
+        if start:
+            soc_sc, soc_v, prev_v = w_soc_sc[start - 1], w_soc_v[start - 1], w_v[start - 1]
     retry = 0 if thr_kw > 0.0 else mode.size  # no battery-empty run is tried before this step
     q_inf = math.isinf(q)
-    steps = enumerate(zip(memoryview(load), mode.tobytes()))
+    steps = enumerate(zip(memoryview(load)[start:], mode.tobytes()[start:]), start)
     for i, (p_load, m) in steps:
         if m == _RECHARGE:
             room = (cap_sc - soc_sc) / step_kwh / eff_sc
@@ -496,9 +521,17 @@ def _run(
                 if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and i >= retry:
                     # Empty and at rest: this step ends with p_v = 0.0 and
                     # soc_v as it is, and the run after it is filled in numpy.
+                    synced = (differs is not None and out[1:, i].tobytes()
+                              == np.array((0.0, soc_sc, soc_v)).tobytes())
                     w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
                     resume, retry = _fill_battery_empty(
                         load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
+                    if synced:
+                        k = differs.find(1, i + 1)
+                        if k < 0:
+                            break
+                        if k >= resume:
+                            resume, soc_sc, soc_v = k, w_soc_sc[k - 1], w_soc_v[k - 1]
                     if resume > i + 1:
                         deque(islice(steps, resume - i - 1), maxlen=0)
                     prev_v = w_v[resume - 1]
@@ -609,8 +642,11 @@ def threshold_sweep(
     The load in kW, the steep-derivative mask and the base-load estimate do
     not depend on the threshold, so they are computed once for the whole
     sweep; the flags, the recharge threshold and the loop run once per
-    threshold. Each run writes every step, so all of them share one set of
-    output arrays, and no :class:`DispatchResult` is built.
+    threshold. All runs share one set of output arrays, and no
+    :class:`DispatchResult` is built. A run whose recharge threshold has the
+    previous run's bits simulates only the steps where the two thresholds
+    can differ (see :func:`_run`), so a sweep costs more the more of the
+    profile lies above its lower thresholds.
     """
     prev = 0.0
     for thr in thresholds:
@@ -623,10 +659,14 @@ def threshold_sweep(
         return []
     load, steep, base = _prep(norm, cfg)
     out = np.empty((4, norm.n_samples))
-    rows = []
+    rows, prev_thr_kw, prev_rth = [], None, None
     for thr in thresholds:
-        engaged = _run(norm, replace(cfg, sc_threshold=thr), dev, load, steep, base, out)[2]
+        thr_cfg = replace(cfg, sc_threshold=thr)
+        rth = float(_recharge_threshold(thr_cfg, base)).hex()  # tells -0.0 from 0.0
+        engaged = _run(norm, thr_cfg, dev, load, steep, base, out,
+                       prev_thr_kw if rth == prev_rth else None)[2]
         rows.append((float(thr), _summarize(load, engaged, out, norm.base_power_kw)[1]))
+        prev_thr_kw, prev_rth = thr * norm.base_power_kw, rth
     return rows
 
 

@@ -63,7 +63,7 @@ def naive_dispatch(pu, dt, p_max, cfg, dev):
             else:
                 target = 0.0
         else:
-            sc_serving = p_sc if p_sc > 0.0 else 0.0
+            sc_serving = max(p_sc, 0.0)
             target = p_load - sc_serving - rth_kw
             if target < 0.0:
                 target = 0.0

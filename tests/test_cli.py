@@ -414,6 +414,18 @@ def test_sweep_out_file(capsys, tmp_path, profile_csv):
     assert len(target.read_text().strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("text, rounded", [
+    ("0.9999999999999:0.9999999999999:0.1", "1.0..1.0"),
+    ("1e-13:0.5:0.1", "0.0..0.5"),
+])
+def test_sweep_range_checks_the_rounded_thresholds(capsys, profile_csv, text, rounded):
+    # thresholds are rounded to 12 places; the check names the range, not
+    # a threshold the user never wrote
+    code, out, err = run(capsys, "sweep", str(profile_csv), "--range", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: range {text!r} rounds to thresholds outside (0, 1): {rounded}\n"
+
+
 def test_sweep_bad_range_exit_code(capsys, profile_csv):
     code, _, err = run(capsys, "sweep", str(profile_csv), "--range", "0.9:0.5:0.1")
     assert code == 2

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
+import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,6 +372,40 @@ def test_underflowing_sc_threshold_matches_scalar_loop(monkeypatch):
         assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
 
 
+def _negative_zero_sc_profile():
+    # 30 steps whose peak is the smallest subnormal: sc_threshold * P rounds
+    # to 0.0 for thresholds up to 0.5, and each -0.0 step is engaged by the
+    # steep rise after it, so the SC serves p_sc = -0.0 there
+    pu = np.full(30, 0.1)
+    pu[0] = 1.0
+    pu[5:28:4] = -0.0
+    pu[6:28:4] = 1.0
+    return _norm(pu, p_max=5e-324)
+
+
+def test_negative_zero_sc_power_matches_naive_oracle():
+    # the VRFB target subtracts max(p_sc, 0.0), which keeps a -0.0 p_sc:
+    # -0.0 - -0.0 is +0.0, so the VRFB serves +0.0 there, not -0.0
+    norm = _negative_zero_sc_profile()
+    cfg = EmsConfig(sc_threshold=0.3, recharge_threshold=0.0)
+    res = dispatch(norm, cfg)
+    assert np.signbit(res.p_sc_kw).sum() == 6
+    o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(
+        norm.pu.tolist(), 1.0, norm.base_power_kw, cfg, DeviceParams())
+    got = (res.p_sc_kw, res.p_vrfb_kw, res.p_grid_kw, res.soc_sc_kwh, res.soc_vrfb_kwh)
+    for g, w in zip(got, (o_sc, o_v, o_g, o_ssc, o_sv)):
+        assert g.tobytes() == np.array(w).tobytes()
+
+    thresholds = [0.3, 0.5, 0.7]
+    want = []
+    for thr in thresholds:
+        o_sc, o_v, _, o_ssc, o_sv = naive_dispatch(
+            norm.pu.tolist(), 1.0, norm.base_power_kw, replace(cfg, sc_threshold=thr),
+            DeviceParams())
+        want.append(np.array([o_sc, o_v, o_ssc, o_sv]).tobytes())
+    assert _sweep_traces(norm, thresholds, cfg, DeviceParams()) == want
+
+
 @pytest.mark.parametrize("mode", list(EngageMode))
 def test_int_config_matches_naive_oracle(rng, mode):
     # int fields, as a JSON config file gives them: the kernel stores the int
@@ -533,6 +570,170 @@ def test_sweep_rejects_coarse_profiles():
     with pytest.raises(IncompatibleResolutionError):
         threshold_sweep(norm, [0.8], NO_RECHARGE)
     assert threshold_sweep(norm, [], NO_RECHARGE) == []
+
+
+# --- steps shared between sweep points ---
+
+def _sweep_traces(norm, thresholds, cfg, dev):
+    """The four traces of each sweep point, as bytes, as ``_summarize`` gets them."""
+    traces = []
+    real = ems._summarize
+
+    def spy(load, engaged, out, p_max):
+        traces.append(out.tobytes())
+        return real(load, engaged, out, p_max)
+
+    with mock.patch.object(ems, "_summarize", spy):
+        threshold_sweep(norm, thresholds, cfg, dev)
+    return traces
+
+
+def _dispatch_traces(norm, thresholds, cfg, dev):
+    """The same traces from one fresh :func:`dispatch` per threshold."""
+    runs = [dispatch(norm, replace(cfg, sc_threshold=thr), dev) for thr in thresholds]
+    return [np.stack([r.p_sc_kw, r.p_vrfb_kw, r.soc_sc_kwh, r.soc_vrfb_kwh]).tobytes()
+            for r in runs]
+
+
+def _shared_case(name, rng):
+    """(profile, config, device, thresholds) of one shared-steps case."""
+    cfg = EmsConfig(recharge_threshold=0.2)
+    dev = DeviceParams(vrfb_energy_kwh=0.02, sc_energy_kwh=0.002)
+    thresholds = [0.5, 0.6, 0.7, 0.9]
+    if name == "quiet-then-peak":
+        pu = np.concatenate([np.full(3000, 0.3), np.linspace(0.4, 1.0, 40), np.full(50, 0.3)])
+        return _norm(pu), cfg, dev, thresholds
+    if name == "municipal-3-days":
+        norm = normalize(gen_municipal(MunicipalSpec(days=3))[0])
+        return norm, EmsConfig(), DeviceParams(), [0.5, 0.7, 0.9]
+    if name == "steep-before-first-differing-step":
+        pu = np.full(800, 0.3)
+        pu[100:600:50] = 0.45  # below every threshold, but steep on both sides
+        pu[700] = 1.0
+        return _norm(pu), cfg, dev, thresholds
+    if name == "base-between-thresholds":
+        # the estimate, ~0.305, is the recharge threshold from 0.5 on; below
+        # that recharging is off, so 0.25 and 0.5 share no steps
+        pu = np.concatenate([np.full(400, 0.3), rng.uniform(0.0, 1.0, 600), [1.0]])
+        return _norm(pu), EmsConfig(), dev, [0.2, 0.25, 0.5, 0.6]
+    if name == "repeated-thresholds":
+        pu = rng.uniform(0.0, 1.0, 2000)
+        pu[3] = 1.0
+        return _norm(pu), cfg, dev, [0.6, 0.6, 0.8, 0.8]
+    if name == "subnormal-peak":
+        # 0.5 * P rounds to 0.0 and 0.7 * P does not, so the -0.0 loads, each
+        # engaged by a steep step, give 0.5 p_sc = -0.0 and 0.7 p_sc = +0.0
+        pu = np.full(200, 0.45)
+        pu[1:199:2] = -0.0
+        pu[199] = 1.0
+        return _norm(pu, p_max=5e-324), NO_RECHARGE, dev, [0.3, 0.5, 0.5, 0.7]
+    pu = rng.uniform(0.0, 1.0, 2000)
+    pu[3] = 1.0
+    sc, vrfb = {"sc-soc-negative-zero": (-0.0, 0.0), "vrfb-soc-negative-zero": (0.0, -0.0)}[name]
+    dev = replace(dev, sc_initial_soc_fraction=sc, vrfb_initial_soc_fraction=vrfb)
+    return _norm(pu), EmsConfig(recharge_threshold=0.0), dev, thresholds
+
+
+@pytest.mark.parametrize("mode", list(EngageMode))
+@pytest.mark.parametrize("name", [
+    "quiet-then-peak", "municipal-3-days", "steep-before-first-differing-step",
+    "base-between-thresholds", "repeated-thresholds", "subnormal-peak",
+    "sc-soc-negative-zero", "vrfb-soc-negative-zero",
+])
+def test_sweep_traces_equal_dispatch(rng, name, mode):
+    norm, cfg, dev, thresholds = _shared_case(name, rng)
+    cfg = replace(cfg, sc_engage_mode=mode)
+    assert _sweep_traces(norm, thresholds, cfg, dev) == _dispatch_traces(
+        norm, thresholds, cfg, dev)
+
+
+_FRACTIONS = st.sampled_from([0.0, -0.0, 0.3, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pu=st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 0.2, 0.5, 0.6, 1.0]),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=60),
+    base=st.sampled_from([0.1, 0.3, 0.55]),
+    p_max=st.sampled_from([10.0, 0.37, 5e-324]),
+    recharge=st.sampled_from([None, 0.0, -0.0, 0.2, 0.45]),
+    mode=st.sampled_from(list(EngageMode)),
+    thresholds=st.lists(st.sampled_from([0.46, 0.5, 0.6, 0.7, 0.8, 0.95]),
+                        min_size=1, max_size=5).map(sorted),
+    dev=st.builds(
+        DeviceParams,
+        vrfb_energy_kwh=st.sampled_from([1e-4, 1e-3, 0.01]),
+        vrfb_ramp_kw_per_s=st.sampled_from([1e-3, 2.5, 1e308]),
+        sc_energy_kwh=st.sampled_from([1e-5, 1e-4, 1e-3]),
+        sc_initial_soc_fraction=_FRACTIONS,
+        vrfb_initial_soc_fraction=_FRACTIONS,
+        sc_efficiency=st.sampled_from([1.0, 0.9]),
+        vrfb_efficiency=st.sampled_from([1.0, 0.85]),
+    ),
+)
+def test_sweep_traces_equal_dispatch_property(pu, base, p_max, recharge, mode, thresholds,
+                                              dev):
+    # 100 steps at a base level lead in: the base-load estimate needs 100
+    norm = _norm([base] * 100 + pu + [1.0], p_max=p_max)
+    cfg = EmsConfig(recharge_threshold=recharge, sc_engage_mode=mode)
+    assert _sweep_traces(norm, thresholds, cfg, dev) == _dispatch_traces(
+        norm, thresholds, cfg, dev)
+
+
+def _loop_passes(fn) -> int:
+    """Line events on the header of ``_run``'s step loop while ``fn`` runs.
+
+    Each run gives one per simulated step, plus one for the loop's end.
+    """
+    lines, first = inspect.getsourcelines(ems._run)
+    header = first + next(k for k, line in enumerate(lines)
+                          if line.strip().startswith("for i, (p_load, m) in steps"))
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == header
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is ems._run.__code__ else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_sweep_point_starts_at_its_first_differing_step():
+    # after the first point, each simulates only from the first step whose
+    # load reaches the previous threshold: the last 8 or 7 of 2010 steps
+    pu = np.concatenate([np.full(2000, 0.3), np.linspace(0.4, 1.0, 10)])
+    norm = _norm(pu)
+    cfg = EmsConfig(recharge_threshold=0.0, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
+    first = _loop_passes(lambda: threshold_sweep(norm, [0.5], cfg))
+    assert first == pu.size + 1
+    starts = [int(np.argmax(norm.pu * 10.0 >= thr * 10.0)) for thr in (0.5, 0.6)]
+    assert starts == [2002, 2003]
+    sweep = _loop_passes(lambda: threshold_sweep(norm, [0.5, 0.6, 0.7], cfg))
+    assert sweep == first + sum(pu.size - start + 1 for start in starts)
+
+
+def test_sweep_point_resyncs_where_both_batteries_are_empty():
+    # each cycle: a peak on which the SC's power cap binds for both
+    # thresholds and the VRFB empties, then steps below both thresholds,
+    # recharge steps among them. Once the VRFB is empty and at rest, 0.6's
+    # run finds the state 0.5 left in out and moves on to the next peak.
+    cycle = np.concatenate([np.full(20, 1.0), np.full(300, 0.35), np.full(300, 0.1),
+                            np.full(300, 0.35)])
+    norm = _norm(np.tile(cycle, 3))
+    cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
+    dev = DeviceParams(sc_power_kw=2.0, vrfb_energy_kwh=0.02)
+    alone = _loop_passes(lambda: dispatch(norm, replace(cfg, sc_threshold=0.6), dev))
+    first = _loop_passes(lambda: threshold_sweep(norm, [0.5], cfg, dev))
+    second = _loop_passes(lambda: threshold_sweep(norm, [0.5, 0.6], cfg, dev)) - first
+    assert alone > 3 * 300  # the recharge steps at least
+    assert second <= 3 * 20 + 1  # at most the peaks
+    assert _sweep_traces(norm, [0.5, 0.6], cfg, dev) == _dispatch_traces(
+        norm, [0.5, 0.6], cfg, dev)
 
 
 # --- outage scenarios ---
