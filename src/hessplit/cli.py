@@ -43,7 +43,7 @@ from .ems import (
 from .errors import HessplitError, InvalidConfigError, InvalidRangeError
 from .metrics import normalize
 from .profiles import load_catalog, parse_profile_file, write_profile_csv
-from .report import analyze_profile, report_to_dict
+from .report import analyze_profile, report_to_dict, write_json
 from .synth import EvParkSpec, MachineSpec, MunicipalSpec, generate
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
 
@@ -117,14 +117,6 @@ def _warn(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if args.manifest or path.suffix.lower() == ".json":
@@ -142,7 +134,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if report.resolution.vrfb_only:
             _warn(f"{profile.site_id}: {report.resolution.reason}; transient analysis skipped")
         reports.append(report_to_dict(report))
-    _emit_json(reports[0] if len(reports) == 1 and not args.manifest else reports, args.out)
+    write_json(reports[0] if len(reports) == 1 and not args.manifest else reports,
+               args.out or sys.stdout)
     return 0
 
 
@@ -156,7 +149,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     summary["site_id"] = profile.site_id
     summary["n_steps"] = result.n_steps
     summary["recharge_threshold"] = result.recharge_threshold
-    _emit_json(summary, args.out)
+    write_json(summary, args.out or sys.stdout)
     return 0
 
 
@@ -187,7 +180,7 @@ def _cmd_ups(args: argparse.Namespace) -> int:
         dev = dataclasses.replace(dev, **overrides)
     profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
     scenario = make_ups_scenario(profile, args.start, args.duration, dev)
-    _emit_json({
+    write_json({
         "site_id": profile.site_id,
         "outage_start_s": args.start,
         "outage_duration_s": args.duration,
@@ -197,7 +190,7 @@ def _cmd_ups(args: argparse.Namespace) -> int:
         "window_energy_kwh": scenario.window_energy_kwh,
         "power_cap_kw": scenario.power_cap_kw,
         "energy_available_kwh": scenario.energy_available_kwh,
-    }, args.out)
+    }, args.out or sys.stdout)
     if args.demand_out:
         write_profile_csv(scenario.hess_demand, args.demand_out)
     return 0
@@ -224,11 +217,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     profile, events = generate(spec)
     write_profile_csv(profile, args.out)
     if args.events:
-        Path(args.events).write_text(
-            json.dumps({"spec": dataclasses.asdict(spec) | {"kind": args.kind},
-                        "events": events}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json({"spec": dataclasses.asdict(spec) | {"kind": args.kind}, "events": events},
+                   args.events)
     return 0
 
 

@@ -21,9 +21,9 @@ so no Python object outlives its step.
 
 One fixed point of that recurrence is skipped. Once the VRFB is empty and at
 rest, neither device serves until a step that can move the state, and the
-grid carries the load. :func:`_fill_battery_empty` writes such a run in numpy
-windows as what the contract's step reduces to there (its docstring gives
-the argument), byte-identical to the scalar steps.
+grid carries the load. :func:`_fill_battery_empty` writes such a run in place
+as what the contract's step reduces to there (its docstring gives the
+argument), byte-identical to the scalar steps.
 
 A sweep's next point starts from the previous point's trace in the shared
 arrays and simulates only the steps a higher threshold can change, plus
@@ -125,7 +125,8 @@ class DeviceParams:
     to a 5 kW / 0.05 kWh supercapacitor. The battery ramp default reaches
     full power in two seconds; the supercapacitor is treated as ramp-free.
     Recharge powers default to the device power rating. Efficiencies are
-    hooks and default to lossless.
+    hooks and default to lossless. Powers are finite; an infinite energy
+    means no energy limit.
     """
 
     vrfb_power_kw: float = 5.0
@@ -151,10 +152,11 @@ class DeviceParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("sc_recharge_power_kw", "vrfb_recharge_power_kw"):
+        for name in ("vrfb_power_kw", "sc_power_kw", "sc_recharge_power_kw",
+                     "vrfb_recharge_power_kw"):
             v = getattr(self, name)
-            if v is not None and not v >= 0.0:
-                raise InvalidConfigError(f"{name} must be >= 0, got {v}")
+            if v is not None and not 0.0 <= v < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {v}")
         for name in ("sc_efficiency", "vrfb_efficiency"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -419,9 +421,10 @@ def _run(
     for one sits where the energy reserve binds, which every step of an
     empty, resting battery with a positive VRFB target reaches, so other
     steps pay nothing for it. The SC's end-of-step SoC is therefore settled
-    before the VRFB's part of the step. No try is made before ``retry``, the
-    step that ended the last run tried, and none if ``thr_kw`` underflows to
-    0.0: an engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
+    before the VRFB's part of the step. The fill writes the whole run, and
+    the loop resumes at the step that ends it with the state ``out`` holds
+    before that step. Nothing is filled if ``thr_kw`` underflows to 0.0: an
+    engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
 
     ``prev_thr_kw`` says that ``out`` holds the run at a threshold ``a <=
     sc_threshold`` with ``a * P == prev_thr_kw`` and a recharge threshold of
@@ -448,12 +451,8 @@ def _run(
     mode = engaged.astype(np.int8)  # _ENGAGED where engaged, else idle
     mode[norm.pu < rth] = _RECHARGE
 
-    cap_sc = dev.sc_energy_kwh
-    cap_v = dev.vrfb_energy_kwh
-    eff_sc = dev.sc_efficiency
-    eff_v = dev.vrfb_efficiency
-    pow_sc = dev.sc_power_kw
-    pow_v = dev.vrfb_power_kw
+    cap_sc, eff_sc, pow_sc = dev.sc_energy_kwh, dev.sc_efficiency, dev.sc_power_kw
+    cap_v, eff_v, pow_v = dev.vrfb_energy_kwh, dev.vrfb_efficiency, dev.vrfb_power_kw
     neg_pow_v = -pow_v
     r_sc = min(dev.sc_recharge_kw, pow_sc)  # the first two terms of the charge min
     r_v = dev.vrfb_recharge_kw
@@ -468,7 +467,7 @@ def _run(
         start = differs.find(1) if 1 in differs else mode.size
         if start:
             soc_sc, soc_v, prev_v = w_soc_sc[start - 1], w_soc_v[start - 1], w_v[start - 1]
-    retry = 0 if thr_kw > 0.0 else mode.size  # no battery-empty run is tried before this step
+    fills = thr_kw > 0.0
     q_inf = math.isinf(q)
     steps = enumerate(zip(memoryview(load)[start:], mode.tobytes()[start:]), start)
     for i, (p_load, m) in steps:
@@ -518,23 +517,22 @@ def _run(
                 k = int(p_v // q)
                 need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
             if need > u:
-                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and i >= retry:
+                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and fills:
                     # Empty and at rest: this step ends with p_v = 0.0 and
                     # soc_v as it is, and the run after it is filled in numpy.
                     synced = (differs is not None and out[1:, i].tobytes()
                               == np.array((0.0, soc_sc, soc_v)).tobytes())
                     w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
-                    resume, retry = _fill_battery_empty(
-                        load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
+                    resume = _fill_battery_empty(load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
                     if synced:
                         k = differs.find(1, i + 1)
                         if k < 0:
                             break
-                        if k >= resume:
-                            resume, soc_sc, soc_v = k, w_soc_sc[k - 1], w_soc_v[k - 1]
+                        resume = max(resume, k)
                     if resume > i + 1:
                         deque(islice(steps, resume - i - 1), maxlen=0)
-                    prev_v = w_v[resume - 1]
+                    soc_sc, soc_v, prev_v = (
+                        w_soc_sc[resume - 1], w_soc_v[resume - 1], w_v[resume - 1])
                     continue
                 p_v = _sustainable_power(u, q)
                 if lo > p_v:
@@ -570,14 +568,9 @@ def _summarize(
     )
 
 
-#: Steps per numpy window when :func:`_fill_battery_empty` fills a run.
-_FILL_WINDOW = 4096
-#: Shortest battery-empty run filled in numpy; shorter ones stay scalar.
-_FILL_MIN_RUN = 16
 # The steps that can move the state of an empty, resting VRFB: any non-idle
-# step, or a recharge step. They are searched in the int8 mode array's own
-# bytes: over a short run a regex search costs a fraction of a numpy compare
-# and argmax, which keeps a refused try cheap.
+# step, or a recharge step. A regex search in the int8 mode array's own bytes
+# stops at the first one, so it costs no more than the run it finds.
 _ACTIVE_STEP = re.compile(rb"[^\x00]")
 _RECHARGE_STEP = re.compile(re.escape(bytes([_RECHARGE])))
 
@@ -585,7 +578,7 @@ _RECHARGE_STEP = re.compile(re.escape(bytes([_RECHARGE])))
 def _fill_battery_empty(
     load: np.ndarray, mode: np.ndarray, rth_kw: float, out: np.ndarray, i: int,
     soc_sc: float, soc_v: float,
-) -> tuple[int, int]:
+) -> int:
     """Write the run of steps from ``i`` that leave an empty, resting VRFB as it is.
 
     The state at step ``i`` must be ``soc_v == 0.0`` and ``prev_v == 0.0``,
@@ -603,29 +596,19 @@ def _fill_battery_empty(
     turn into 0.0 on a -0.0 power step: such a VRFB fills nothing, and such
     an SC counts as charged.
 
-    The run is searched and written into ``out`` as :func:`_run` does,
-    ``_FILL_WINDOW`` steps at a time, if it is at least ``_FILL_MIN_RUN``
-    long. Returns where the loop resumes and the step that ends the run (or
-    ``len(mode)``): a try before it would find the same run, or a shorter one.
+    The whole run is written into ``out`` in place, as :func:`_run` would.
+    Returns the step that ends it, where the loop resumes, else ``len(mode)``.
     """
     if math.copysign(1.0, soc_v) < 0.0:
-        return i, i
+        return i
     sc_empty = math.copysign(1.0, soc_sc) > 0.0 and soc_sc == 0.0
-    moving = _RECHARGE_STEP if sc_empty else _ACTIVE_STEP
-    start, n = i, mode.size
-    while i < n:
-        hit = moving.search(mode, i, i + _FILL_WINDOW)
-        end = hit.start() if hit else min(i + _FILL_WINDOW, n)
-        if end - start < _FILL_MIN_RUN:
-            return start, end
-        t = load[i:end] - rth_kw
-        out[0, i:end] = 0.0
-        out[1, i:end] = np.where(t == 0.0, t, 0.0)
-        out[2:, i:end] = ((soc_sc,), (soc_v,))
-        i = end
-        if hit:
-            break
-    return i, i
+    hit = (_RECHARGE_STEP if sc_empty else _ACTIVE_STEP).search(mode, i)
+    end = hit.start() if hit else mode.size
+    out[0, i:end] = 0.0
+    v = np.subtract(load[i:end], rth_kw, out=out[1, i:end])
+    np.copyto(v, 0.0, where=v != 0.0)
+    out[2:, i:end] = ((soc_sc,), (soc_v,))
+    return end
 
 
 def threshold_sweep(
@@ -702,6 +685,8 @@ def make_ups_scenario(
         If ``profile.dt >= 30 s`` (peaks inside short outages average away).
     WindowOutOfRangeError
         If the window does not lie within the profile span.
+    InvalidConfigError
+        If the combined power rating or stored energy is not finite.
     """
     if profile.dt >= UPS_MAX_DT_S:
         raise ResolutionTooCoarseError(
@@ -727,6 +712,9 @@ def make_ups_scenario(
         dev.vrfb_energy_kwh * dev.vrfb_initial_soc_fraction
         + dev.sc_energy_kwh * dev.sc_initial_soc_fraction
     )
+    if not (math.isfinite(power_cap) and math.isfinite(energy_avail)):  # inf * 0.0 is nan
+        raise InvalidConfigError(f"combined ratings must be finite: {power_cap} kW, "
+                                 f"{energy_avail} kWh")
     if window_peak > power_cap:
         limiting = Limiting.POWER
     elif window_energy > energy_avail:

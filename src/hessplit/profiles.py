@@ -521,8 +521,8 @@ def resample(profile: LoadProfile, target_dt: float) -> LoadProfile:
             f"target interval {target_dt} s must be coarser than the source {profile.dt} s"
         )
     ratio = target_dt / profile.dt
-    factor = int(round(ratio))
-    if abs(factor * profile.dt - target_dt) > 1e-9 * target_dt:
+    factor = int(round(ratio)) if ratio < math.inf else 0  # 0: inf and nan are no multiple
+    if not factor or abs(factor * profile.dt - target_dt) > 1e-9 * target_dt:
         raise NotAMultipleError(
             f"target interval {target_dt} s is not an integer multiple of {profile.dt} s"
         )

@@ -36,6 +36,7 @@ from .transient import (
     TAIL_LEVEL,
     Histogram,
     SymmetryReport,
+    check_tail_level,
     derivative,
     histogram,
     symmetry_report,
@@ -73,6 +74,7 @@ def analyze_profile(
     The input hash is the SHA-256 of the profile's canonical CSV rendering,
     so a report can be matched against a regenerated profile byte-for-byte.
     """
+    check_tail_level(tail_level)  # also recorded where symmetry_report does not run
     verdict = validate_resolution(profile)
     norm = normalize(profile)
     metrics = _compute_metrics(profile, norm, bins)
@@ -186,12 +188,21 @@ def report_from_dict(d: dict) -> AnalysisReport:
     )
 
 
-def write_report_json(report: AnalysisReport, target: Union[str, Path, IO]) -> None:
-    payload = json.dumps(report_to_dict(report), indent=2)
+def write_json(payload, target: Union[str, Path, IO]) -> None:
+    """Write ``payload`` as indented JSON and a newline to a path or an open file.
+
+    The JSON is strict: a non-finite float raises ``ValueError`` instead of
+    turning into ``Infinity`` or ``NaN``, which are not JSON.
+    """
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if isinstance(target, (str, Path)):
-        Path(target).write_text(payload + "\n", encoding="utf-8")
+        Path(target).write_text(text, encoding="utf-8")
     else:
-        target.write(payload + "\n")
+        target.write(text)
+
+
+def write_report_json(report: AnalysisReport, target: Union[str, Path, IO]) -> None:
+    write_json(report_to_dict(report), target)
 
 
 def read_report_json(source: Union[str, Path, IO]) -> AnalysisReport:

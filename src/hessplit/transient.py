@@ -155,6 +155,12 @@ class SymmetryReport:
     total: int
 
 
+def check_tail_level(tail_level: float) -> None:
+    """Reject a tail level that is not finite and positive."""
+    if not 0.0 < tail_level < float("inf"):
+        raise InvalidConfigError(f"tail_level must be finite and positive, got {tail_level}")
+
+
 def _tail_masses(h: Histogram, level: float) -> tuple[float, float]:
     lo = h.edges[:-1]
     hi = h.edges[1:]
@@ -186,8 +192,7 @@ def symmetry_report(h: Histogram, tail_level: float = TAIL_LEVEL) -> SymmetryRep
         raise NotSymmetricHistogramError(
             "symmetry_report needs a histogram built with symmetric=True"
         )
-    if not 0.0 < tail_level:
-        raise InvalidConfigError(f"tail_level must be positive, got {tail_level}")
+    check_tail_level(tail_level)
     f = h.fractions
     n = h.n_bins
     mid = (n - 1) // 2

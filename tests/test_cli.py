@@ -38,6 +38,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _strict_json(text):
+    """``json.loads`` that fails on ``Infinity``, ``-Infinity`` and ``NaN``."""
+    def reject(constant):
+        raise AssertionError(f"{constant} in the output")
+
+    return json.loads(text, parse_constant=reject)
+
+
 # --- analyze ---
 
 def test_analyze_stdout_json(capsys, profile_csv):
@@ -131,6 +139,17 @@ def test_no_manifest_is_an_internal_error(capsys, tmp_path, profile_csv, manifes
     code = _exit_code("analyze", str(path), "--manifest", "--out", str(tmp_path / "r.json"))
     event(f"exit {code}")
     assert code in (0, 2), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", [1.0, 900.0])  # 900 s skips the symmetry report
+@pytest.mark.parametrize("level", ["inf", "-inf", "nan", "0"])
+def test_analyze_non_finite_tail_level_exits_2(capsys, tmp_path, dt, level):
+    profile = LoadProfile(site_id="t", t0=0.0, dt=dt, samples=np.linspace(1.0, 10.0, 200))
+    path = tmp_path / "t.csv"
+    write_profile_csv(profile, path)
+    code, out, err = run(capsys, "analyze", str(path), f"--tail-level={level}")
+    assert (code, out) == (2, "")
+    assert err == f"error: tail_level must be finite and positive, got {float(level)}\n"
 
 
 def test_analyze_missing_file(capsys, tmp_path):
@@ -305,6 +324,7 @@ def test_dispatch_missing_config_file(capsys, profile_csv):
     {"vrfb_efficiency": [1]},
     {"derivative_threshold": True},
     {"vrfb_energy_kwh": 10 ** 400},
+    {"vrfb_power_kw": float("inf")},
 ])
 def test_dispatch_config_wrong_type(capsys, tmp_path, profile_csv, config):
     cfg = tmp_path / "cfg.json"
@@ -330,8 +350,10 @@ _JSON_VALUES = (
 def test_no_flat_config_is_an_internal_error(capsys, tmp_path, profile_csv, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, _, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    code, out, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
     assert code in (0, 2), err
+    if code == 0:
+        _strict_json(out)
 
 
 def test_undecodable_input_exits_2(capsys, tmp_path, profile_csv):
@@ -481,6 +503,43 @@ def test_ups_window_error(capsys, tmp_path):
     assert "outside profile span" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--vrfb-power", "inf"), "vrfb_power_kw must be finite and >= 0, got inf"),
+    (("--sc-power", "1e400"), "sc_power_kw must be finite and >= 0, got inf"),
+    (("--vrfb-power", "1e308", "--sc-power", "1e308"),
+     "combined ratings must be finite: inf kW, 10.05 kWh"),
+    (("--vrfb-energy", "1e308", "--sc-energy", "1e308"),
+     "combined ratings must be finite: 10.0 kW, inf kWh"),
+    (("--vrfb-energy", "inf", "--vrfb-soc", "0"),
+     "combined ratings must be finite: 10.0 kW, nan kWh"),
+])
+def test_ups_infinite_ratings_exit_2(capsys, profile_csv, flags, message):
+    code, out, err = run(capsys, "ups", str(profile_csv), "--start", "0", "--duration", "60",
+                         *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [("dispatch",), ("sweep", "--range", "0.5:0.9:0.1")])
+def test_infinite_sc_ratings_exit_2(capsys, tmp_path, command):
+    # JSON's 1e400 parses as inf; an infinite power rating used to print
+    # grid peaks of Infinity and -Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sc_power_kw": 1e400, "sc_energy_kwh": 1e400}')
+    samples = np.tile(np.linspace(1.0, 10.0, 20), 10)
+    path = tmp_path / "p.csv"
+    write_profile_csv(LoadProfile(site_id="p", t0=0.0, dt=1.0, samples=samples), path)
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: sc_power_kw must be finite and >= 0, got inf\n")
+
+
+def test_infinite_energy_means_no_limit(capsys, tmp_path, profile_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"sc_energy_kwh": 1e400, "vrfb_energy_kwh": 1e400}')
+    code, out, _ = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    assert code == 0
+    assert _strict_json(out)["grid_peak_kw"] < 20.0
+
+
 @pytest.mark.parametrize("flags", [
     ("--start", "nan", "--duration", "10"),
     ("--start", "0", "--duration", "nan"),
@@ -614,7 +673,10 @@ def test_no_ups_flag_is_an_internal_error(capsys, profile_csv, flags):
     argv = {"--start": "0", "--duration": "60"} | flags
     code = _exit_code("ups", str(profile_csv), *(x for kv in argv.items() for x in kv))
     event(f"exit {code}")
-    assert code in (0, 2), capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code in (0, 2), err
+    if code == 0:
+        _strict_json(out)
 
 
 _BIN_COUNTS = st.one_of(
@@ -633,10 +695,14 @@ _BIN_COUNTS = st.one_of(
     _BIN_COUNTS | _FLAG_FLOATS,
 ))
 def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, flags):
-    code = _exit_code("analyze", str(profile_csv), "--out", str(tmp_path / "r.json"),
+    out = tmp_path / "r.json"
+    out.unlink(missing_ok=True)
+    code = _exit_code("analyze", str(profile_csv), "--out", str(out),
                       *(x for kv in flags.items() for x in kv))
     event(f"exit {code}")
     assert code in (0, 2), capsys.readouterr().err
+    if code == 0:
+        _strict_json(out.read_text())
 
 
 # every accepted value here makes at most two days at dt >= 2 s and a few

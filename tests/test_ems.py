@@ -91,6 +91,13 @@ def test_device_validation():
     assert DeviceParams().vrfb_recharge_kw == 5.0
 
 
+@pytest.mark.parametrize("field", ["vrfb_power_kw", "sc_power_kw", "sc_recharge_power_kw",
+                                   "vrfb_recharge_power_kw"])
+def test_device_powers_must_be_finite(field):
+    with pytest.raises(InvalidConfigError, match=f"{field} must be finite and >= 0, got inf"):
+        DeviceParams(**{field: float("inf")})
+
+
 def test_recharge_threshold_resolution(rng):
     norm = _norm(np.concatenate([np.full(150, 0.3), rng.uniform(0.85, 1.0, 50)]))
     assert resolve_recharge_threshold(norm, EmsConfig(recharge_threshold=0.2)) == 0.2
@@ -302,7 +309,7 @@ _EMPTY_RUN_CASES = {
 }
 
 
-@pytest.mark.parametrize("run", [15, 16, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("run", [1, 2, 15, 16, 4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("case", list(_EMPTY_RUN_CASES))
 def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
     # step 0 finds the battery empty and at rest; steps 1..run cannot move
@@ -344,14 +351,12 @@ def test_battery_empty_runs_match_naive_oracle(rng, monkeypatch, case, run):
         assert res.soc_vrfb_kwh[run] == 0.0
         if case == "negative-zero-vrfb":
             continue  # a -0.0 battery is never filled; every step of it is scalar
-        # the scalar loop calls _sustainable_power on the run's steps with a
-        # positive VRFB target; a filled run, only on the tail's few steps. A
-        # -0.0 SC counts as charged, so its run starts one step later, after
-        # the engaged step 1 has turned the -0.0 into 0.0.
-        if run - (case == "negative-zero-sc") >= ems._FILL_MIN_RUN:
-            assert len(calls) <= 8
-        else:
-            assert len(calls) > run // 2
+        # the scalar loop would call _sustainable_power on the run's steps with
+        # a positive VRFB target; a filled run calls it on the tail's few steps
+        # only, however short the run. A -0.0 SC counts as charged, so its run
+        # starts one step later, after the engaged step 1 has turned the -0.0
+        # into 0.0.
+        assert len(calls) <= 8
 
 
 def test_underflowing_sc_threshold_matches_scalar_loop(monkeypatch):
@@ -366,7 +371,8 @@ def test_underflowing_sc_threshold_matches_scalar_loop(monkeypatch):
     dev = DeviceParams(vrfb_initial_soc_fraction=0.0, sc_initial_soc_fraction=0.0)
     res = dispatch(norm, cfg, dev)
     assert np.signbit(res.p_sc_kw).any()
-    monkeypatch.setattr(ems, "_FILL_MIN_RUN", norm.n_samples + 1)  # no run is filled
+    # no run is filled: each try resumes at the step after it
+    monkeypatch.setattr(ems, "_fill_battery_empty", lambda load, mode, rth_kw, out, i, *_: i)
     scalar = dispatch(norm, cfg, dev)
     for name in ("p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh", "soc_vrfb_kwh"):
         assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
@@ -703,6 +709,24 @@ def _loop_passes(fn) -> int:
     return count
 
 
+def test_short_battery_empty_runs_are_filled(rng):
+    # an empty VRFB next to an empty SC that cannot recharge: each cycle is a
+    # recharge step, then 2-4 idle steps with a positive VRFB target. The
+    # first idle step finds the battery empty and at rest, and the fill
+    # writes the 1-3 steps after it, however short that run is.
+    runs = rng.integers(1, 4, size=300)
+    norm = _norm(np.concatenate([[0.1] + [0.5] * (r + 1) for r in runs]))
+    cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
+    dev = DeviceParams(vrfb_initial_soc_fraction=0.0, sc_initial_soc_fraction=0.0,
+                       sc_recharge_power_kw=0.0)
+    assert _loop_passes(lambda: dispatch(norm, cfg, dev)) == 2 * runs.size + 1
+    res = dispatch(norm, cfg, dev)
+    want = naive_dispatch(norm.pu.tolist(), 1.0, norm.base_power_kw, cfg, dev)
+    got = (res.p_sc_kw, res.p_vrfb_kw, res.p_grid_kw, res.soc_sc_kwh, res.soc_vrfb_kwh)
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.array(w).tobytes()
+
+
 def test_sweep_point_starts_at_its_first_differing_step():
     # after the first point, each simulates only from the first step whose
     # load reaches the previous threshold: the last 8 or 7 of 2010 steps
@@ -779,6 +803,18 @@ def test_ups_window_bounds(make_profile):
     with pytest.raises(WindowOutOfRangeError):
         make_ups_scenario(profile, 0.0, 0.0)
     make_ups_scenario(profile, 90.0, 10.0)  # flush against the end is fine
+
+
+@pytest.mark.parametrize("dev", [
+    DeviceParams(vrfb_power_kw=1e308, sc_power_kw=1e308),
+    DeviceParams(vrfb_energy_kwh=1e308, sc_energy_kwh=1e308),
+    DeviceParams(vrfb_energy_kwh=float("inf")),
+    DeviceParams(vrfb_energy_kwh=float("inf"), vrfb_initial_soc_fraction=0.0),  # nan kWh
+])
+def test_ups_rejects_infinite_ratings(make_profile, dev):
+    profile = make_profile(np.full(600, 1.0), dt=1.0)
+    with pytest.raises(InvalidConfigError, match="combined ratings must be finite"):
+        make_ups_scenario(profile, 0.0, 60.0, dev)
 
 
 def test_ups_resolution_gate(make_profile):

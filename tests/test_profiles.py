@@ -247,6 +247,13 @@ def test_resample_rejects_upsampling_and_non_multiples(make_profile):
         resample(p, 5.0)
 
 
+@pytest.mark.parametrize("target", [float("inf"), float("nan")])
+def test_resample_rejects_non_finite_targets(make_profile, target):
+    p = make_profile([1.0, 2.0, 3.0, 4.0], dt=2.0)
+    with pytest.raises(NotAMultipleError, match="not an integer multiple"):
+        resample(p, target)
+
+
 def test_resample_needs_two_output_samples(make_profile):
     p = make_profile([1.0, 2.0, 3.0], dt=1.0)
     with pytest.raises(InvalidProfileError):

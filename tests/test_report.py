@@ -143,6 +143,17 @@ def test_json_round_trip_through_stream(busy_profile):
     assert read_report_json(buf).metrics == rep.metrics
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    # JSON has no Infinity or NaN: a writer that printed them would give
+    # output that strict parsers reject
+    with pytest.raises(ValueError):
+        report.write_json({"x": [1.0, value]}, io.StringIO())
+    path = tmp_path / "x.json"
+    report.write_json({"x": [1.0, -0.0]}, path)
+    assert path.read_text() == '{\n  "x": [\n    1.0,\n    -0.0\n  ]\n}\n'
+
+
 def test_relevance_labels_round_trip():
     for rel in Relevance:
         d = {"category": "PS", "hess_compliant": True,

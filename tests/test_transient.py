@@ -195,6 +195,12 @@ def test_symmetry_rejects_bad_tail_level():
         symmetry_report(_sym_hist([1, 1, 1]), tail_level=0.0)
 
 
+@pytest.mark.parametrize("level", [float("inf"), float("nan"), -1.0])
+def test_symmetry_rejects_non_finite_tail_level(level):
+    with pytest.raises(InvalidConfigError, match="must be finite and positive"):
+        symmetry_report(_sym_hist([1, 1, 1]), tail_level=level)
+
+
 def test_tail_masses_count_whole_bins_only():
     # edges at -1,-0.6,-0.2,0.2,0.6,1: only the outermost bins lie fully
     # beyond |0.5|
