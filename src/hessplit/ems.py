@@ -19,11 +19,20 @@ the builtin's tie rule. Each step's four outputs go straight into float64
 arrays allocated once per run (a sweep shares one set among its thresholds),
 so no Python object outlives its step.
 
-One fixed point of that recurrence is skipped. Once the VRFB is empty and at
-rest, neither device serves until a step that can move the state, and the
-grid carries the load. :func:`_fill_battery_empty` writes such a run in place
-as what the contract's step reduces to there (its docstring gives the
-argument), byte-identical to the scalar steps.
+Two kinds of runs skip the scalar loop, each written in place, byte-identical
+to the scalar steps, by a fill whose docstring gives the argument:
+
+* the state is held while the load varies. Once the VRFB is empty and at
+  rest, neither device serves until a step that can move the state, and the
+  grid carries the load. :func:`_fill_battery_empty` writes such a run as
+  what the contract's step reduces to there (the municipal archetype).
+* the load is held while the state moves. After a step that repeats the one
+  before it (load bits, mode and both powers), :func:`_fill_repeats` guesses
+  that the steps after it with its load bits and mode repeat it too, checks
+  each from the start state the guess implies with the contract's
+  expressions, and writes the prefix where the check holds (the machine and
+  EV-park archetypes). Steps where a SoC clamp or the reserve binds stay in
+  the loop.
 
 A sweep's next point starts from the previous point's trace in the shared
 arrays and simulates only the steps a higher threshold can change, plus
@@ -37,7 +46,7 @@ import numbers
 import re
 import sys
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -152,6 +161,12 @@ class DeviceParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidConfigError(f"{name} must be in [0, 1], got {v}")
+        for dev in ("sc", "vrfb"):  # the initial SoC would be inf * 0.0 = nan
+            energy, fraction = f"{dev}_energy_kwh", f"{dev}_initial_soc_fraction"
+            v = getattr(self, fraction)
+            if math.isinf(getattr(self, energy)) and v == 0.0:
+                raise InvalidConfigError(
+                    f"{fraction} must be > 0 when {energy} is infinite, got {v}")
         for name in ("vrfb_power_kw", "sc_power_kw", "sc_recharge_power_kw",
                      "vrfb_recharge_power_kw"):
             v = getattr(self, name)
@@ -219,6 +234,10 @@ class DispatchResult:
     Device powers are positive when discharging and negative when
     recharging; ``p_grid_kw`` may go negative when the battery must ramp
     down slower than the load drops. SoC traces hold the end-of-step state.
+
+    The arrays are read-only copies of those passed in. :func:`dispatch`
+    passes ``_owned=True`` for arrays it built and holds no other reference
+    to; they are made read-only in place.
     """
 
     dt: float
@@ -233,11 +252,12 @@ class DispatchResult:
     engaged_sc: np.ndarray
     recharge_threshold: float
     stats: UtilizationStats
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         freeze_arrays(self, np.float64, "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                      "soc_sc_kwh", "soc_vrfb_kwh")
-        freeze_arrays(self, bool, "flag_sc", "engaged_sc")
+                      "soc_sc_kwh", "soc_vrfb_kwh", copy=not _owned)
+        freeze_arrays(self, bool, "flag_sc", "engaged_sc", copy=not _owned)
 
     @property
     def n_steps(self) -> int:
@@ -370,6 +390,7 @@ def dispatch(
         dt=norm.dt, base_power_kw=norm.base_power_kw, p_load_kw=load, p_grid_kw=grid,
         p_sc_kw=out[0], p_vrfb_kw=out[1], soc_sc_kwh=out[2], soc_vrfb_kwh=out[3],
         flag_sc=flag_sc, engaged_sc=engaged, recharge_threshold=rth, stats=stats,
+        _owned=True,
     )
 
 
@@ -426,6 +447,15 @@ def _run(
     before that step. Nothing is filled if ``thr_kw`` underflows to 0.0: an
     engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
 
+    A step with the previous step's load bits, mode, ``p_sc`` and ``p_vrfb``
+    hands the steps after it to :func:`_fill_repeats`. Each step it writes
+    is the contract's step from its exact start state, so the loop skips
+    them and resumes with the state ``out`` holds before the next step. The
+    test costs a float compare on every step; the rest runs only when the
+    VRFB's power repeats. A window writes only steps the loop then skips, so
+    ahead of the loop ``out`` still holds the previous sweep point's trace,
+    which the re-sync below reads.
+
     ``prev_thr_kw`` says that ``out`` holds the run at a threshold ``a <=
     sc_threshold`` with ``a * P == prev_thr_kw`` and a recharge threshold of
     the same bits. Both runs take the same step from the same state, except
@@ -469,6 +499,7 @@ def _run(
             soc_sc, soc_v, prev_v = w_soc_sc[start - 1], w_soc_v[start - 1], w_v[start - 1]
     fills = thr_kw > 0.0
     q_inf = math.isinf(q)
+    same = _repeats(load, mode, (cap_sc, eff_sc, pow_sc, r_sc, cap_v, eff_v, pow_v, r_v))
     steps = enumerate(zip(memoryview(load)[start:], mode.tobytes()[start:]), start)
     for i, (p_load, m) in steps:
         if m == _RECHARGE:
@@ -547,6 +578,12 @@ def _run(
         w_v[i] = p_v
         w_soc_sc[i] = soc_sc
         w_soc_v[i] = soc_v
+        if p_v == prev_v and same[i + 1] and same[i] and p_sc == w_sc[i - 1]:
+            # this step repeats the one before, and so may the steps after it
+            resume = _fill_repeats(load, mode, same, out, i + 1, dev, step_kwh, q, thr_kw, rth_kw)
+            if resume > i + 1:
+                deque(islice(steps, resume - i - 1), maxlen=0)
+                soc_sc, soc_v = w_soc_sc[resume - 1], w_soc_v[resume - 1]
         prev_v = p_v
     return rth, flag_sc, engaged
 
@@ -609,6 +646,124 @@ def _fill_battery_empty(
     np.copyto(v, 0.0, where=v != 0.0)
     out[2:, i:end] = ((soc_sc,), (soc_v,))
     return end
+
+
+#: Most steps one window of :func:`_fill_repeats` checks; bounds its memory.
+_REPEAT_WINDOW = 4096
+
+
+def _repeats(load: np.ndarray, mode: np.ndarray, params: tuple) -> bytes:
+    """Per step, whether it has the previous step's load bits and mode.
+
+    One byte per step plus a zero after the last; step 0 is zero too. All
+    zeros unless every device parameter in ``params`` is a float: the
+    windows of :func:`_fill_repeats` evaluate in numpy, which rounds an int
+    to a double where the loop's Python compares it exactly.
+    """
+    same = np.zeros(load.size + 1, dtype=bool)
+    if all(isinstance(v, float) for v in params):
+        bits = load.view(np.int64)
+        np.equal(bits[1:], bits[:-1], out=same[1:-1])
+        same[1:-1] &= mode[1:] == mode[:-1]
+    return same.tobytes()
+
+
+def _fill_repeats(
+    load: np.ndarray, mode: np.ndarray, same: bytes, out: np.ndarray, i: int,
+    dev: DeviceParams, step_kwh: float, q: float, thr_kw: float, rth_kw: float,
+) -> int:
+    """Write the steps from ``i`` on that repeat step ``i - 1``; return where they end.
+
+    The window is the run of steps from ``i`` with the load bits and mode of
+    step ``i - 1`` (see :func:`_repeats`), at most :data:`_REPEAT_WINDOW`
+    long. The guess is that each keeps the powers ``out`` holds for step
+    ``i - 1``. Both SoC series then follow from ``np.subtract.accumulate``,
+    which subtracts the contract's ``delta`` in order, as the loop does.
+    Each step is checked from its own start state with the contract's
+    expressions for its mode, each builtin ``min(a, b)`` as ``np.where(b <
+    a, b, a)``, and the powers are compared by their bits. A step is
+    rejected where a SoC clamp binds or where ``need > u``. Where the check
+    holds the step is the contract's step, so the longest such prefix is
+    written into ``out`` in place.
+
+    A kept step has the guessed ``p_sc``, so outside recharging its VRFB
+    target and clamped power are scalars, checked before any array is
+    built: a window that fails at once, such as on an empty VRFB, is cheap.
+    """
+    end = same.find(0, i, i + _REPEAT_WINDOW)
+    if end < 0:
+        end = i + _REPEAT_WINDOW
+    p_load, m = float(load[i - 1]), mode[i - 1]
+    p_sc, p_v, soc_sc, soc_v = out[:, i - 1].tolist()
+    cap_sc, eff_sc = dev.sc_energy_kwh, dev.sc_efficiency
+    cap_v, eff_v, pow_v = dev.vrfb_energy_kwh, dev.vrfb_efficiency, dev.vrfb_power_kw
+    if m != _RECHARGE:
+        target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
+        if 0.0 > target:
+            target = 0.0
+        if _bits(_vrfb_clamps(target, p_v, pow_v, q)) != _bits(p_v):
+            return i
+
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
+        d_sc = (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
+        d_v = (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
+        soc = np.empty((2, end - i + 1))
+        soc[:, 0] = soc_sc, soc_v
+        soc[:, 1:] = ((d_sc,), (d_v,))
+        np.subtract.accumulate(soc, axis=1, out=soc)
+        sc0, v0 = soc[:, :-1]  # each step's start state
+        ok = np.ones(end - i, dtype=bool)
+        for row, d, cap in ((soc[0, 1:], d_sc, cap_sc), (soc[1, 1:], d_v, cap_v)):
+            # a series that only falls (rises) can only meet the clamp at 0 (capacity)
+            if d > 0.0:
+                ok &= row >= 0.0
+            elif d < 0.0:
+                ok &= row <= cap
+        if m == _RECHARGE:
+            r_sc = min(dev.sc_recharge_kw, dev.sc_power_kw)
+            room = (cap_sc - sc0) / step_kwh / eff_sc
+            ok &= _bits(-np.where(room < r_sc, room, r_sc)) == _bits(p_sc)
+            r_v = dev.vrfb_recharge_kw
+            room = (cap_v - v0) / step_kwh / eff_v
+            target = np.where(sc0 >= cap_sc, -np.where(room < r_v, room, r_v), 0.0)
+            ok &= _bits(_vrfb_clamps(target, p_v, pow_v, q)) == _bits(p_v)
+        elif m == _ENGAGED:
+            x = p_load - thr_kw
+            if 0.0 > x:
+                x = 0.0
+            if dev.sc_power_kw < x:
+                x = dev.sc_power_kw
+            avail = sc0 / step_kwh * eff_sc
+            ok &= _bits(np.where(avail < x, avail, x)) == _bits(p_sc)
+        if p_v > 0.0:  # so is the clamped power of every step kept
+            if math.isinf(q):
+                need = p_v
+            else:
+                k = int(p_v // q)
+                need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
+            ok &= v0 / step_kwh * eff_v >= need  # not need > u: u is never nan
+
+    k = int(ok.argmin())
+    if ok[k]:
+        k = ok.size
+    end = i + k
+    out[0, i:end] = p_sc
+    out[1, i:end] = p_v
+    out[2:, i:end] = soc[:, 1:k + 1]
+    return end
+
+
+def _vrfb_clamps(target, prev_v: float, pow_v: float, q: float) -> np.ndarray:
+    """The VRFB's power and ramp clamps of the contract, elementwise."""
+    p = np.where(pow_v < target, pow_v, target)
+    p = np.where(-pow_v > p, -pow_v, p)
+    p = np.where(prev_v + q < p, prev_v + q, p)
+    return np.where(prev_v - q > p, prev_v - q, p)
+
+
+def _bits(x) -> np.ndarray:
+    """The float64 bits of ``x``, as int64: -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
 def threshold_sweep(

@@ -16,8 +16,9 @@ Every CSV this package writes is rendered by :func:`csv_blocks`, a few
 thousand rows at a time, from numpy columns. Each field is the ``repr`` of
 its value. A long column that repeats a few values (a dispatch trace's
 flags, powers and states) is rendered from a table holding the ``repr`` of
-each distinct value once; every other column is formatted row by row. The
-text is the same either way, since equal bits give an equal ``repr``.
+each distinct value once; every other column takes the ``repr`` of each
+value. The text is the same either way, since equal bits give an equal
+``repr``.
 
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
@@ -62,10 +63,15 @@ GRID_TOLERANCE_S = 1e-3
 CSV_HEADER = ("timestamp", "power_kw")
 
 
-def freeze_arrays(obj, dtype, *names: str) -> None:
-    """Replace each named field of a frozen dataclass with a read-only copy."""
+def freeze_arrays(obj, dtype, *names: str, copy: bool = True) -> None:
+    """Replace each named field of a frozen dataclass with a read-only copy.
+
+    With ``copy=False`` an array that already has ``dtype`` is made read-only
+    in place, for arrays that nothing else holds.
+    """
     for name in names:
-        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr = getattr(obj, name)
+        arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
         arr.flags.writeable = False
         object.__setattr__(obj, name, arr)
 
@@ -78,9 +84,9 @@ _TABLE_SAMPLE = 1024
 _TABLE_FRACTION = 8
 
 
-def _column_renderer(col: np.ndarray) -> tuple[str, Callable[[int, int], list]]:
-    """The row-format field for one column and a ``(start, end) -> list``
-    function giving the values that fill it for rows ``start:end``.
+def _column_renderer(col: np.ndarray) -> Callable[[int, int], list]:
+    """A ``(start, end) -> list`` function giving the text of rows
+    ``start:end`` of one column: the ``repr`` of each value.
 
     A column of at least :data:`CSV_BLOCK_ROWS` values is keyed by its bits:
     a float column by its ``int64`` view, so ``-0.0`` and ``0.0`` stay
@@ -88,11 +94,14 @@ def _column_renderer(col: np.ndarray) -> tuple[str, Callable[[int, int], list]]:
     sample of about :data:`_TABLE_SAMPLE` keys is not nearly all distinct
     (counted with a ``set``: no sort for a column that cannot qualify), and
     ``np.unique`` then finds at most ``n // _TABLE_FRACTION`` distinct keys,
-    the column takes a ``{}`` field filled from a table: the ``repr`` of the
-    ``tolist()`` scalar at each key's first occurrence, looked up one block
-    at a time with ``np.searchsorted``. Every other column takes ``{!r}``.
+    the text comes from a table: the ``repr`` of the ``tolist()`` scalar at
+    each key's first occurrence, looked up one block at a time with
+    ``np.searchsorted``. Every other column takes the ``repr`` of each
+    ``tolist()`` scalar.
     """
-    plain = "{!r}", lambda s, e: col[s:e].tolist()
+    def plain(s, e):
+        return list(map(repr, col[s:e].tolist()))
+
     n = len(col)
     if n < CSV_BLOCK_ROWS:
         return plain
@@ -109,7 +118,7 @@ def _column_renderer(col: np.ndarray) -> tuple[str, Callable[[int, int], list]]:
     if len(distinct) > n // _TABLE_FRACTION:
         return plain
     texts = np.array(list(map(repr, col[first].tolist())), dtype=object)
-    return "{}", lambda s, e: texts[np.searchsorted(distinct, keys[s:e])].tolist()
+    return lambda s, e: texts[np.searchsorted(distinct, keys[s:e])].tolist()
 
 
 def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
@@ -120,16 +129,16 @@ def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator
     :func:`_column_renderer`. A long column with few distinct values (at
     most one per :data:`_TABLE_FRACTION` rows) is rendered from a table of
     the ``repr`` of each distinct value, computed once; every other column
-    by a ``{!r}`` field of the row format. Values with equal bits have an
-    equal ``repr``, so the tabled text is the ``repr`` of every row's value,
-    as the row path gives it.
+    takes the ``repr`` of each value. Values with equal bits have an equal
+    ``repr``, so the tabled text is the ``repr`` of every row's value. Each
+    block's fields are then joined into rows and the rows into the block
+    with ``str.join``.
     """
     yield ",".join(header) + "\r\n"
-    fields, slicers = zip(*map(_column_renderer, columns))
-    row = ",".join(fields) + "\r\n"
+    renderers = list(map(_column_renderer, columns))
     for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         e = s + CSV_BLOCK_ROWS
-        yield "".join(map(row.format, *(f(s, e) for f in slicers)))
+        yield "\r\n".join(map(",".join, zip(*(f(s, e) for f in renderers)))) + "\r\n"
 
 
 def write_csv(

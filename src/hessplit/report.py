@@ -36,6 +36,7 @@ from .transient import (
     TAIL_LEVEL,
     Histogram,
     SymmetryReport,
+    check_bins,
     check_tail_level,
     derivative,
     histogram,
@@ -74,7 +75,9 @@ def analyze_profile(
     The input hash is the SHA-256 of the profile's canonical CSV rendering,
     so a report can be matched against a regenerated profile byte-for-byte.
     """
-    check_tail_level(tail_level)  # also recorded where symmetry_report does not run
+    # both are recorded in the config, also where the transient analysis does not run
+    check_bins(derivative_bins)
+    check_tail_level(tail_level)
     verdict = validate_resolution(profile)
     norm = normalize(profile)
     metrics = _compute_metrics(profile, norm, bins)

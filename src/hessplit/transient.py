@@ -97,6 +97,14 @@ class Histogram:
         return self.counts / self.total
 
 
+def check_bins(bins: int) -> None:
+    """Reject a bin count outside ``[2, MAX_BINS]``."""
+    if bins < 2:
+        raise InvalidConfigError(f"need at least 2 bins, got {bins}")
+    if bins > MAX_BINS:
+        raise InvalidConfigError(f"at most {MAX_BINS} bins, got {bins}")
+
+
 def histogram(
     values: Union[Sequence[float], np.ndarray],
     *,
@@ -115,10 +123,7 @@ def histogram(
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptyValuesError("cannot histogram an empty value series")
-    if bins < 2:
-        raise InvalidConfigError(f"need at least 2 bins, got {bins}")
-    if bins > MAX_BINS:
-        raise InvalidConfigError(f"at most {MAX_BINS} bins, got {bins}")
+    check_bins(bins)
     if symmetric:
         if bins % 2 == 0:
             bins += 1

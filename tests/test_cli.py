@@ -230,6 +230,20 @@ def test_analyze_header_only_has_no_warning(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: no data rows\n")
 
 
+@pytest.mark.parametrize("bins", ["0", "-5", str(MAX_BINS + 1)])
+def test_analyze_derivative_bins_checked_without_transient_analysis(capsys, tmp_path, bins):
+    # a 900 s profile skips the derivative histogram, yet the report's config
+    # records the bin count, so it is checked as on a 1 s profile
+    profile = LoadProfile(site_id="slow", t0=0.0, dt=900.0,
+                          samples=np.linspace(1.0, 10.0, 200))
+    path = tmp_path / "slow.csv"
+    write_profile_csv(profile, path)
+    code, out, err = run(capsys, "analyze", str(path), "--derivative-bins", bins)
+    assert (code, out) == (2, "")
+    assert err == (f"error: at most {MAX_BINS} bins, got {bins}\n" if int(bins) > 2
+                   else f"error: need at least 2 bins, got {bins}\n")
+
+
 @pytest.mark.parametrize("bins", [str(MAX_BINS + 1), "100000000", "10000000000000"])
 def test_analyze_derivative_bins_is_bounded(capsys, profile_csv, bins):
     tracemalloc.start()
@@ -510,8 +524,8 @@ def test_ups_window_error(capsys, tmp_path):
      "combined ratings must be finite: inf kW, 10.05 kWh"),
     (("--vrfb-energy", "1e308", "--sc-energy", "1e308"),
      "combined ratings must be finite: 10.0 kW, inf kWh"),
-    (("--vrfb-energy", "inf", "--vrfb-soc", "0"),
-     "combined ratings must be finite: 10.0 kW, nan kWh"),
+    (("--vrfb-energy", "inf", "--vrfb-soc", "0"),  # inf * 0.0 would be nan kWh
+     "vrfb_initial_soc_fraction must be > 0 when vrfb_energy_kwh is infinite, got 0.0"),
 ])
 def test_ups_infinite_ratings_exit_2(capsys, profile_csv, flags, message):
     code, out, err = run(capsys, "ups", str(profile_csv), "--start", "0", "--duration", "60",
@@ -530,6 +544,20 @@ def test_infinite_sc_ratings_exit_2(capsys, tmp_path, command):
     write_profile_csv(LoadProfile(site_id="p", t0=0.0, dt=1.0, samples=samples), path)
     code, out, err = run(capsys, command[0], str(path), *command[1:], "--config", str(cfg))
     assert (code, out, err) == (2, "", "error: sc_power_kw must be finite and >= 0, got inf\n")
+
+
+@pytest.mark.parametrize("dev", ["sc", "vrfb"])
+def test_infinite_energy_with_empty_start_exits_2(capsys, tmp_path, profile_csv, dev):
+    # the initial SoC would be inf * 0.0 = nan, and stay nan for the whole run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{dev}_energy_kwh": 1e400, "{dev}_initial_soc_fraction": 0}}')
+    trace = tmp_path / "t.csv"
+    code, out, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg),
+                         "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {dev}_initial_soc_fraction must be > 0 when {dev}_energy_kwh "
+                   "is infinite, got 0\n")
+    assert not trace.exists()
 
 
 def test_infinite_energy_means_no_limit(capsys, tmp_path, profile_csv):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,17 @@ def test_device_validation():
         DeviceParams(vrfb_efficiency=0.0)
     assert DeviceParams(sc_recharge_power_kw=0.0).sc_recharge_kw == 0.0
     assert DeviceParams().vrfb_recharge_kw == 5.0
+
+
+@pytest.mark.parametrize("dev", ["sc", "vrfb"])
+def test_infinite_energy_needs_a_charge_to_start_from(dev):
+    # inf * 0.0 would start the device at nan kWh
+    energy, fraction = f"{dev}_energy_kwh", f"{dev}_initial_soc_fraction"
+    for zero in (0.0, -0.0, 0):
+        with pytest.raises(InvalidConfigError, match=f"{fraction} must be > 0 when {energy}"):
+            DeviceParams(**{energy: float("inf"), fraction: zero})
+    DeviceParams(**{energy: float("inf"), fraction: 0.3})  # fine
+    DeviceParams(**{energy: 1e308, fraction: 0.0})  # fine
 
 
 @pytest.mark.parametrize("field", ["vrfb_power_kw", "sc_power_kw", "sc_recharge_power_kw",
@@ -249,6 +261,31 @@ def test_dispatch_stats(rng):
     assert st_.vrfb_energy_share >= 0.0
     assert st_.grid_peak_kw == res.p_grid_kw.max()
     assert st_.grid_peak_reduction_fraction == (10.0 - st_.grid_peak_kw) / 10.0
+
+
+_TRACE_FIELDS = ("p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh",
+                 "soc_vrfb_kwh", "flag_sc", "engaged_sc")
+
+
+def test_result_copies_a_callers_arrays_and_freezes_its_own(rng):
+    pu = rng.uniform(0.0, 1.0, size=300)
+    pu[9] = 1.0
+    res = dispatch(_norm(pu))
+    for name in _TRACE_FIELDS:  # built by dispatch, frozen where they are
+        arr = getattr(res, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+    mine = {name: getattr(res, name).copy() for name in _TRACE_FIELDS}
+    kwargs = {f.name: getattr(res, f.name) for f in fields(res)}
+    built = ems.DispatchResult(**{**kwargs, **mine})
+    for name, arr in mine.items():
+        want = getattr(built, name).tobytes()
+        arr[:] = ~arr if arr.dtype == bool else arr + 1.0
+        assert arr.flags.writeable  # the caller's array is left as it was
+        assert getattr(built, name).tobytes() == want
+        assert not getattr(built, name).flags.writeable
 
 
 def test_dispatch_matches_naive_oracle(rng):
@@ -686,6 +723,144 @@ def test_sweep_traces_equal_dispatch_property(pu, base, p_max, recharge, mode, t
         norm, thresholds, cfg, dev)
 
 
+# --- runs of repeated steps ---
+
+_LEVELS = st.sampled_from([0.0, -0.0, 1.0, 0.2, 0.45, 0.5, 0.6, 0.8]) | st.floats(0.0, 1.0)
+_ENERGIES = st.sampled_from([5e-324, 10.0, float("inf")]) | st.floats(1e-5, 0.05)
+_DEVICES = st.fixed_dictionaries(dict(
+    vrfb_energy_kwh=_ENERGIES,
+    vrfb_ramp_kw_per_s=st.sampled_from([1e-3, 0.7, 2.5, 1e308, float("inf")]),
+    sc_energy_kwh=_ENERGIES,
+    sc_initial_soc_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    vrfb_initial_soc_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    sc_efficiency=st.sampled_from([1.0, 0.9]),
+    vrfb_efficiency=st.sampled_from([1.0, 0.85]),
+)).filter(lambda d: not any(d[f"{x}_energy_kwh"] == float("inf")
+                            and d[f"{x}_initial_soc_fraction"] == 0.0 for x in ("sc", "vrfb"))
+          ).map(lambda d: DeviceParams(**d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    segments=st.lists(st.tuples(_LEVELS, st.integers(1, 400)), min_size=1, max_size=8),
+    base=st.sampled_from([0.1, 0.3, 0.55]),
+    p_max=st.sampled_from([10.0, 0.37]),
+    dt=st.sampled_from([1.0, 5.0]),
+    recharge=st.one_of(st.sampled_from([None, 0.0, -0.0]), st.floats(0.0, 0.45)),
+    mode=st.sampled_from(list(EngageMode)),
+    thresholds=st.lists(st.sampled_from([0.46, 0.5, 0.6, 0.8, 0.95]),
+                        min_size=1, max_size=4).map(sorted),
+    dev=_DEVICES,
+)
+def test_repeated_steps_match_naive_oracle(segments, base, p_max, dt, recharge, mode,
+                                           thresholds, dev):
+    # piecewise-constant loads: most steps repeat the one before, so most of
+    # each run is written by the windows; 100 lead-in steps for the estimate
+    pu = np.concatenate([np.full(100, base)] + [np.full(n, v) for v, n in segments] + [[1.0]])
+    norm = _norm(pu, dt=dt, p_max=p_max)
+    cfg = EmsConfig(recharge_threshold=recharge, sc_engage_mode=mode)
+    res = dispatch(norm, cfg, dev)
+    want = naive_dispatch(norm.pu.tolist(), dt, p_max,
+                          replace(cfg, recharge_threshold=res.recharge_threshold), dev)
+    got = (res.p_sc_kw, res.p_vrfb_kw, res.p_grid_kw, res.soc_sc_kwh, res.soc_vrfb_kwh)
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.array(w).tobytes()
+    assert _sweep_traces(norm, thresholds, cfg, dev) == _dispatch_traces(
+        norm, thresholds, cfg, dev)
+    for thr, stats in threshold_sweep(norm, thresholds, cfg, dev):
+        assert repr(stats) == repr(dispatch(norm, replace(cfg, sc_threshold=thr), dev).stats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lead=st.lists(_LEVELS, max_size=20),
+    level=_LEVELS,
+    n=st.integers(2, 200),
+    recharge=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.45)),
+    mode=st.sampled_from(list(EngageMode)),
+    dev=_DEVICES,
+)
+def test_window_writes_only_steps_the_contract_takes(lead, level, n, recharge, mode, dev):
+    # a window started at any step that repeats the load bits and mode of
+    # the one before, from the oracle's state there, whether or not that
+    # step also repeats the powers: what it writes is the oracle's trace
+    pu = np.concatenate([[1.0], lead, np.full(n, level)])
+    cfg = EmsConfig(recharge_threshold=recharge, sc_engage_mode=mode)
+    o_sc, o_v, _, o_ssc, o_sv = naive_dispatch(pu.tolist(), 1.0, 10.0, cfg, dev)
+    want = np.array([o_sc, o_v, o_ssc, o_sv], dtype=np.float64)
+    runs = []  # the load, the modes and _repeats' bytes of the run
+    real = ems._repeats
+
+    def spy(load, modes, params):
+        runs.append((load, modes, real(load, modes, params)))
+        return runs[-1][2]
+
+    with mock.patch.object(ems, "_repeats", spy):
+        dispatch(_norm(pu), cfg, dev)
+    load, modes, same = runs[0]
+    args = (dev, 1.0 / 3600.0, dev.vrfb_ramp_kw_per_s * 1.0, 0.8 * 10.0, recharge * 10.0)
+    for i in range(1, pu.size):
+        if same[i]:
+            out = want.copy()
+            out[:, i:] = np.nan
+            end = ems._fill_repeats(load, modes, same, out, i, *args)
+            assert out[:, i:end].tobytes() == want[:, i:end].tobytes(), i
+
+
+def _rounding_edge(kind):
+    """``(power, soc, capacity)``: an SC state one step from its clamp, where
+    the power check and the SoC clamp disagree by rounding. ``floor`` and
+    ``avail`` discharge at ``power``, ``cap`` and ``room`` recharge at it.
+    """
+    step = 1.0 / 3600.0
+    for cap in (0.05, 0.001):
+        for x in (0.5 + k / 997 for k in range(4000)):
+            d = x * step if kind in ("floor", "avail") else -x * step
+            base = d if kind in ("floor", "avail") else cap + d
+            for soc in (base + k * math.ulp(base) for k in range(-4, 5)):
+                avail, room = soc / step, (cap - soc) / step
+                if {"floor": not avail < x and 0.0 > soc - d,
+                    "avail": avail < x and not 0.0 > soc - d,
+                    "cap": soc <= cap and not room < x and cap < soc - d,
+                    "room": room < x and not cap < soc - d}[kind]:
+                    return x, soc, cap
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["floor", "avail", "cap", "room"])
+def test_window_rejects_a_step_one_rounding_from_a_clamp(kind):
+    # the SC's power check and its SoC clamp mostly reject the same step;
+    # one rounding apart, only one of them does, and the scalar step either
+    # clamps the SoC or serves another power, so the window keeps nothing
+    x, soc, cap = _rounding_edge(kind)
+    discharge = kind in ("floor", "avail")
+    dev = DeviceParams(sc_energy_kwh=cap, sc_recharge_power_kw=None if discharge else x)
+    load = np.full(4, x if discharge else 0.0)  # the SC's excess over thr_kw = 0.0
+    modes = np.full(4, ems._ENGAGED if discharge else ems._RECHARGE, dtype=np.int8)
+    same = bytes([0, 1, 1, 1, 0])
+    for start, kept in ((soc, 0), (soc + 20 * x / 3600.0 * (1 if discharge else -1), 3)):
+        out = np.zeros((4, 4))
+        out[:, 0] = (x if discharge else -x), 0.0, start, 5.0
+        assert ems._fill_repeats(load, modes, same, out, 1, dev, 1.0 / 3600.0, 2.5, 0.0,
+                                 0.0) == 1 + kept
+
+
+def test_signed_zero_loads_are_not_repeats():
+    # 0.0 and -0.0 loads are equal but give VRFB targets, and so powers, of
+    # opposite sign; a window that took one for the other would copy a sign
+    pu = np.concatenate([[1.0], np.tile([0.0, -0.0], 200), np.full(50, 0.0), [1.0]])
+    norm = _norm(pu)
+    cfg = EmsConfig(recharge_threshold=0.0)
+    res = dispatch(norm, cfg)
+    want = naive_dispatch(norm.pu.tolist(), 1.0, 10.0, cfg, DeviceParams())
+    got = (res.p_sc_kw, res.p_vrfb_kw, res.p_grid_kw, res.soc_sc_kwh, res.soc_vrfb_kwh)
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.array(w).tobytes()
+    signs = np.signbit(res.p_vrfb_kw[1:401])
+    assert signs[1::2].all() and not signs[::2].any()
+    assert not np.signbit(res.p_grid_kw).any()  # -0.0 - -0.0 is +0.0
+
+
 def _loop_passes(fn) -> int:
     """Line events on the header of ``_run``'s step loop while ``fn`` runs.
 
@@ -727,10 +902,24 @@ def test_short_battery_empty_runs_are_filled(rng):
         assert g.tobytes() == np.array(w).tobytes()
 
 
+def test_machine_day_runs_mostly_in_windows(monkeypatch):
+    # a machine switches between a few load levels, so nearly every step
+    # repeats the one before: of 86,400 steps, 1,315 reach the scalar loop
+    norm = normalize(gen_machine(MachineSpec(days=1))[0])
+    assert _loop_passes(lambda: dispatch(norm)) == 1316
+    res = dispatch(norm)
+    monkeypatch.setattr(ems, "_fill_repeats", lambda load, mode, same, out, i, *_: i)
+    scalar = dispatch(norm)  # every step in the loop
+    for name in _TRACE_FIELDS:
+        assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
+
+
 def test_sweep_point_starts_at_its_first_differing_step():
     # after the first point, each simulates only from the first step whose
-    # load reaches the previous threshold: the last 8 or 7 of 2010 steps
-    pu = np.concatenate([np.full(2000, 0.3), np.linspace(0.4, 1.0, 10)])
+    # load reaches the previous threshold: the last 8 or 7 of 2010 steps.
+    # The load alternates, so no step repeats the one before it.
+    quiet = np.tile([0.3, 0.31], 1000)
+    pu = np.concatenate([quiet, np.linspace(0.4, 1.0, 10)])
     norm = _norm(pu)
     cfg = EmsConfig(recharge_threshold=0.0, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
     first = _loop_passes(lambda: threshold_sweep(norm, [0.5], cfg))
@@ -746,8 +935,10 @@ def test_sweep_point_resyncs_where_both_batteries_are_empty():
     # thresholds and the VRFB empties, then steps below both thresholds,
     # recharge steps among them. Once the VRFB is empty and at rest, 0.6's
     # run finds the state 0.5 left in out and moves on to the next peak.
-    cycle = np.concatenate([np.full(20, 1.0), np.full(300, 0.35), np.full(300, 0.1),
-                            np.full(300, 0.35)])
+    # Between the peaks the load alternates, so no step repeats the one
+    # before it and every step of a lone dispatch reaches the scalar loop.
+    wiggle = np.tile([0.0, 0.01], 150)
+    cycle = np.concatenate([np.full(20, 1.0), 0.35 + wiggle, 0.1 + wiggle, 0.35 + wiggle])
     norm = _norm(np.tile(cycle, 3))
     cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
     dev = DeviceParams(sc_power_kw=2.0, vrfb_energy_kwh=0.02)
@@ -809,7 +1000,7 @@ def test_ups_window_bounds(make_profile):
     DeviceParams(vrfb_power_kw=1e308, sc_power_kw=1e308),
     DeviceParams(vrfb_energy_kwh=1e308, sc_energy_kwh=1e308),
     DeviceParams(vrfb_energy_kwh=float("inf")),
-    DeviceParams(vrfb_energy_kwh=float("inf"), vrfb_initial_soc_fraction=0.0),  # nan kWh
+    DeviceParams(sc_energy_kwh=float("inf"), sc_initial_soc_fraction=0.3),
 ])
 def test_ups_rejects_infinite_ratings(make_profile, dev):
     profile = make_profile(np.full(600, 1.0), dt=1.0)

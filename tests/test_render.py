@@ -119,8 +119,9 @@ def test_long_columns_match_csv_writer(kinds, n, seed):
     assert_same_text(buf.getvalue(), reference_csv(header, zip(*(c.tolist() for c in columns))))
 
 
-def count_table_reprs(monkeypatch, columns):
-    """Render ``columns`` and return how many values were put in a ``repr`` table."""
+def count_reprs(monkeypatch, columns):
+    """Render ``columns`` and return how many times ``repr`` ran: once per
+    distinct value of a tabled column, once per row of any other."""
     calls = []
 
     def counting_repr(x):
@@ -140,10 +141,11 @@ def test_long_low_cardinality_columns_are_tabled(monkeypatch):
     few = np.resize([0.0, -0.0, 1 / 3, 5e-324, 7.0], n)
     flags = np.resize(np.array([0, 1], dtype=np.int8), n)
     distinct = np.arange(n) / 3.0
-    # one repr per distinct value of the two tabled columns, none per row
-    assert count_table_reprs(monkeypatch, [few, distinct, flags]) == 5 + 2
-    assert count_table_reprs(monkeypatch, [distinct]) == 0
-    assert count_table_reprs(monkeypatch, [few[: CSV_BLOCK_ROWS - 1]]) == 0
+    # one repr per distinct value of the two tabled columns, one per row of
+    # the distinct column and of a short one
+    assert count_reprs(monkeypatch, [few, distinct, flags]) == 5 + n + 2
+    assert count_reprs(monkeypatch, [distinct]) == n
+    assert count_reprs(monkeypatch, [few[: CSV_BLOCK_ROWS - 1]]) == CSV_BLOCK_ROWS - 1
 
 
 def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
@@ -163,8 +165,8 @@ def test_table_threshold_is_one_distinct_value_per_eight_rows(monkeypatch):
     n = 4 * CSV_BLOCK_ROWS
     at = np.resize(np.arange(n // 8) / 3.0, n)
     over = np.resize(np.arange(n // 8 + 1) / 3.0, n)
-    assert count_table_reprs(monkeypatch, [at]) == n // 8
-    assert count_table_reprs(monkeypatch, [over]) == 0
+    assert count_reprs(monkeypatch, [at]) == n // 8
+    assert count_reprs(monkeypatch, [over]) == n
 
 
 @pytest.fixture
