@@ -42,11 +42,9 @@ those until the two states meet again (:func:`_run` gives the argument).
 from __future__ import annotations
 
 import math
-import numbers
 import re
-import sys
 from collections import deque
-from dataclasses import InitVar, dataclass, fields, replace
+from dataclasses import InitVar, dataclass, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -55,13 +53,16 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    AllZeroProfileError,
     IncompatibleResolutionError,
     InvalidConfigError,
     ResolutionTooCoarseError,
     WindowOutOfRangeError,
 )
 from .metrics import NormalizedProfile, base_load_estimate
-from .profiles import SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, freeze_arrays, write_csv
+from .profiles import (
+    SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, freeze_arrays, freeze_numbers, write_csv,
+)
 from .transient import derivative
 
 
@@ -80,28 +81,14 @@ class Limiting(Enum):
     ENERGY = "Energy"
 
 
-def _require_numbers(obj) -> None:
-    """Reject a config field that does not hold a real number.
-
-    Enum fields are skipped, and a field whose default is ``None`` may hold
-    ``None``. Bools and ints beyond float range are rejected.
-    """
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(f.default, Enum) or (v is None and f.default is None):
-            continue
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or isinstance(v, int) and abs(v) > sys.float_info.max):
-            raise InvalidConfigError(f"{f.name} must be a number, got {v!r}")
-
-
 @dataclass(frozen=True)
 class EmsConfig:
     """Thresholds steering the power split.
 
     ``recharge_threshold`` may be ``None``, in which case dispatch derives it
     from the profile's base-load estimate (and falls back to 0, disabling
-    recharge, if that estimate is not below ``sc_threshold``).
+    recharge, if that estimate is not below ``sc_threshold``). The numbers
+    are stored as floats.
     """
 
     sc_threshold: float = 0.8
@@ -110,7 +97,9 @@ class EmsConfig:
     sc_engage_mode: EngageMode = EngageMode.THRESHOLD_OR_DERIVATIVE
 
     def __post_init__(self):
-        _require_numbers(self)
+        freeze_numbers(self, InvalidConfigError, self._check)
+
+    def _check(self):
         if not 0.0 < self.sc_threshold < 1.0:
             raise InvalidConfigError(f"sc_threshold must be in (0, 1), got {self.sc_threshold}")
         if not 0.0 < self.derivative_threshold <= 1.0:
@@ -135,7 +124,7 @@ class DeviceParams:
     full power in two seconds; the supercapacitor is treated as ramp-free.
     Recharge powers default to the device power rating. Efficiencies are
     hooks and default to lossless. Powers are finite; an infinite energy
-    means no energy limit.
+    means no energy limit. Every field is stored as a float.
     """
 
     vrfb_power_kw: float = 5.0
@@ -151,7 +140,9 @@ class DeviceParams:
     vrfb_efficiency: float = 1.0
 
     def __post_init__(self):
-        _require_numbers(self)
+        freeze_numbers(self, InvalidConfigError, self._check)
+
+    def _check(self):
         for name in ("vrfb_power_kw", "vrfb_energy_kwh", "vrfb_ramp_kw_per_s",
                      "sc_power_kw", "sc_energy_kwh"):
             v = getattr(self, name)
@@ -381,6 +372,8 @@ def dispatch(
     IncompatibleResolutionError
         If the profile interval exceeds the supercapacitor limit (10 s);
         both engage modes place load on the SC.
+    AllZeroProfileError
+        If ``pu * P`` is zero at every step.
     """
     load, steep, base = _prep(norm, cfg)
     out = np.empty((4, norm.n_samples))
@@ -410,6 +403,8 @@ def _prep(
             "needs finer sampling"
         )
     load = norm.pu * norm.base_power_kw
+    if not load.any():  # the energy shares would divide 0.0 by 0.0
+        raise AllZeroProfileError(f"profile {norm.site_id!r} has no load in kW to split")
     steep = None
     if cfg.sc_engage_mode is EngageMode.THRESHOLD_OR_DERIVATIVE:
         steep = np.zeros(norm.n_samples, dtype=bool)
@@ -434,9 +429,9 @@ def _run(
     returns the recharge threshold, the SC flag and the engaged mask. The
     loop carries only the SoC and ramp recurrence. It stores step ``i`` by
     item assignment on a memoryview of each row, which keeps a float's
-    double, signed zeros too, and converts an int as ``float()`` does. Each
-    builtin ``min(a, b)`` of the contract is written ``b if b < a else a``
-    and each ``max(a, b)`` as ``b if b > a else a``: the first argument wins ties.
+    double, signed zeros too. Each builtin ``min(a, b)`` of the contract is
+    written ``b if b < a else a`` and each ``max(a, b)`` as ``b if b > a
+    else a``: the first argument wins ties.
 
     Battery-empty runs are handed to :func:`_fill_battery_empty`. The test
     for one sits where the energy reserve binds, which every step of an
@@ -499,7 +494,7 @@ def _run(
             soc_sc, soc_v, prev_v = w_soc_sc[start - 1], w_soc_v[start - 1], w_v[start - 1]
     fills = thr_kw > 0.0
     q_inf = math.isinf(q)
-    same = _repeats(load, mode, (cap_sc, eff_sc, pow_sc, r_sc, cap_v, eff_v, pow_v, r_v))
+    same = _repeats(load, mode)
     steps = enumerate(zip(memoryview(load)[start:], mode.tobytes()[start:]), start)
     for i, (p_load, m) in steps:
         if m == _RECHARGE:
@@ -652,19 +647,15 @@ def _fill_battery_empty(
 _REPEAT_WINDOW = 4096
 
 
-def _repeats(load: np.ndarray, mode: np.ndarray, params: tuple) -> bytes:
+def _repeats(load: np.ndarray, mode: np.ndarray) -> bytes:
     """Per step, whether it has the previous step's load bits and mode.
 
-    One byte per step plus a zero after the last; step 0 is zero too. All
-    zeros unless every device parameter in ``params`` is a float: the
-    windows of :func:`_fill_repeats` evaluate in numpy, which rounds an int
-    to a double where the loop's Python compares it exactly.
+    One byte per step plus a zero after the last; step 0 is zero too.
     """
     same = np.zeros(load.size + 1, dtype=bool)
-    if all(isinstance(v, float) for v in params):
-        bits = load.view(np.int64)
-        np.equal(bits[1:], bits[:-1], out=same[1:-1])
-        same[1:-1] &= mode[1:] == mode[:-1]
+    bits = load.view(np.int64)
+    np.equal(bits[1:], bits[:-1], out=same[1:-1])
+    same[1:-1] &= mode[1:] == mode[:-1]
     return same.tobytes()
 
 
@@ -800,10 +791,11 @@ def threshold_sweep(
     rows, prev_thr_kw, prev_rth = [], None, None
     for thr in thresholds:
         thr_cfg = replace(cfg, sc_threshold=thr)
-        rth = float(_recharge_threshold(thr_cfg, base)).hex()  # tells -0.0 from 0.0
+        thr = thr_cfg.sc_threshold  # a float, as _run reads it
+        rth = _recharge_threshold(thr_cfg, base).hex()  # tells -0.0 from 0.0
         engaged = _run(norm, thr_cfg, dev, load, steep, base, out,
                        prev_thr_kw if rth == prev_rth else None)[2]
-        rows.append((float(thr), _summarize(load, engaged, out, norm.base_power_kw)[1]))
+        rows.append((thr, _summarize(load, engaged, out, norm.base_power_kw)[1]))
         prev_thr_kw, prev_rth = thr * norm.base_power_kw, rth
     return rows
 

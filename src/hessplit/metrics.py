@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroProfileError, DegenerateBaseLoadWarning, InvalidConfigError
-from .profiles import LoadProfile, freeze_arrays
+from .errors import (
+    AllZeroProfileError,
+    DegenerateBaseLoadWarning,
+    InvalidConfigError,
+    InvalidProfileError,
+)
+from .profiles import LoadProfile, freeze_arrays, freeze_numbers
 
 #: Per-unit level above which samples count as "peak region" rather than base.
 PEAK_BAND_PU = 0.8
@@ -29,6 +34,7 @@ class NormalizedProfile:
     ``pu`` is ``samples / max(samples)``; by construction ``max(pu) == 1.0``
     exactly, because IEEE division of the maximum by itself is exact.
     ``base_power_kw`` is that maximum, kept to convert back to kilowatts.
+    ``dt`` and ``base_power_kw`` are stored as floats.
     """
 
     site_id: str
@@ -38,6 +44,7 @@ class NormalizedProfile:
 
     def __post_init__(self):
         freeze_arrays(self, np.float64, "pu")
+        freeze_numbers(self, InvalidProfileError)
 
     @property
     def n_samples(self) -> int:

@@ -31,11 +31,12 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -74,6 +75,32 @@ def freeze_arrays(obj, dtype, *names: str, copy: bool = True) -> None:
         arr = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype=dtype)
         arr.flags.writeable = False
         object.__setattr__(obj, name, arr)
+
+
+def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lambda: None) -> None:
+    """Store each field of a frozen dataclass annotated ``float`` as a Python float.
+
+    The fields are those annotated ``float`` or ``Optional[float]``. Each
+    must hold a real number; a bool, a non-real or an int or ``Fraction``
+    beyond float range raises ``error``, and ``None`` passes where it is
+    the default. ``check`` then validates the values as given, so its
+    messages show them as the caller wrote them, and only then is each
+    stored as ``float(v)``. From there on ``5``, ``5.0``, ``np.float32(5.0)``
+    and ``Fraction(5)`` are one value to every expression that reads it.
+    """
+    floats = [f for f in fields(obj) if f.type in ("float", "Optional[float]")]
+    for f in floats:
+        v = getattr(obj, f.name)
+        if v is None and f.default is None:
+            continue
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or isinstance(v, numbers.Rational) and abs(v) > sys.float_info.max):
+            raise error(f"{f.name} must be a number, got {v!r}")
+    check()
+    for f in floats:
+        v = getattr(obj, f.name)
+        if v is not None:
+            object.__setattr__(obj, f.name, float(v))
 
 
 #: Rows per text block of :func:`csv_blocks`; bounds the memory of a render.
@@ -187,12 +214,15 @@ class LoadProfile:
     category_hint : Category
         Declared application category, if known.
     t0 : float
-        Epoch seconds (UTC) of the first sample.
+        Epoch seconds (UTC) of the first sample; finite.
     dt : float
         Sample interval in seconds, > 0, with a finite ``1 / dt``.
     samples : numpy.ndarray
         Power values in kW; finite, non-negative, at least two samples. Their
         sum must be within half the float range, and the sum times ``dt`` finite.
+
+    ``t0`` and ``dt`` are stored as floats, so a profile built from ints has
+    the canonical CSV and ``input_sha256`` of its float twin.
     """
 
     site_id: str
@@ -203,6 +233,9 @@ class LoadProfile:
 
     def __post_init__(self):
         freeze_arrays(self, np.float64, "samples")
+        freeze_numbers(self, InvalidProfileError, self._check)
+
+    def _check(self):
         arr = self.samples
         if arr.ndim != 1:
             raise InvalidProfileError("samples must be a one-dimensional sequence")
@@ -212,15 +245,18 @@ class LoadProfile:
             raise InvalidProfileError("samples must all be finite")
         if np.any(arr < 0.0):
             raise InvalidProfileError("samples must be non-negative kilowatts")
+        if not math.isfinite(self.t0):
+            raise InvalidProfileError(f"t0 must be a finite number of seconds, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
-        if not math.isfinite(1.0 / self.dt):  # the derivative divides pu steps (<= 1) by dt
+        dt = float(self.dt)  # a numpy scalar would compute in its own precision
+        if not math.isfinite(1.0 / dt):  # the derivative divides pu steps (<= 1) by dt
             raise InvalidProfileError(f"dt={self.dt!r} s is too short: 1/dt overflows a float")
         with np.errstate(over="ignore"):
             total = float(arr.sum())
         # Half the float range leaves room for the few ulps by which a rescaled
         # copy of the samples (dispatch's pu * P) may sum higher.
-        if not (total <= sys.float_info.max / 2 and math.isfinite(total * self.dt)):
+        if not (total <= sys.float_info.max / 2 and math.isfinite(total * dt)):
             raise InvalidProfileError("samples too large: their total energy overflows a float")
 
     def __eq__(self, other):
@@ -413,6 +449,7 @@ def _parse_rows(
 
         times: list[float] = []
         powers: list[float] = []
+        rows: list[int] = []  # each sample's row number, for the grid checks
         row_number = 1
         for row in reader:
             row_number += 1
@@ -436,6 +473,7 @@ def _parse_rows(
                 p = 0.0
             times.append(t)
             powers.append(p)
+            rows.append(row_number)
 
     if not times:
         raise EmptyInputError("no data rows")
@@ -444,12 +482,13 @@ def _parse_rows(
 
     dt = times[1] - times[0]
     if dt <= 0.0:
-        raise NonUniformGridError(f"timestamps not strictly increasing at row 3 (dt={dt})")
+        raise NonUniformGridError(
+            f"timestamps not strictly increasing at row {rows[1]} (dt={dt})")
     for i in range(2, len(times)):  # the first gap is dt itself
         gap = times[i] - times[i - 1]
         if not abs(gap - dt) <= GRID_TOLERANCE_S:
             raise NonUniformGridError(
-                f"row {i + 2}: gap {gap} s deviates from inferred interval {dt} s"
+                f"row {rows[i]}: gap {gap} s deviates from inferred interval {dt} s"
             )
     return times[0], dt, np.array(powers)
 
@@ -544,7 +583,7 @@ def resample(profile: LoadProfile, target_dt: float) -> LoadProfile:
     means = used.reshape(n_windows, factor).mean(axis=1)
     return LoadProfile(
         site_id=profile.site_id, category_hint=profile.category_hint,
-        t0=profile.t0, dt=float(factor * profile.dt), samples=means,
+        t0=profile.t0, dt=factor * profile.dt, samples=means,
     )
 
 

@@ -14,6 +14,12 @@ Every generator is a pure function of its spec (seed included): the same
 spec yields byte-identical samples. Each also returns an event log — enough
 bookkeeping to re-derive peak and transient counts independently of the
 signal itself.
+
+A spec can pass its checks and still overflow: a huge ``scale_kw`` times an
+off step's 0.0, or sessions that superpose past the float range. The
+generators therefore run with numpy's overflow and invalid-value warnings
+off, and such a profile ends in :class:`~hessplit.profiles.LoadProfile`'s
+check that every sample is finite.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class MunicipalSpec:
             raise InvalidSpecError("municipal: scale_kw must be > 0")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the module docstring
 def gen_municipal(spec: MunicipalSpec) -> tuple[LoadProfile, list[dict]]:
     """Generate the plateau-with-evening-peak shape.
 
@@ -172,6 +179,7 @@ class MachineSpec:
             raise InvalidSpecError("machine: scale_kw must be > 0")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the module docstring
 def gen_machine(spec: MachineSpec) -> tuple[LoadProfile, list[dict]]:
     """Generate the off/on block shape with switch-on spikes.
 
@@ -267,6 +275,7 @@ def _taper_head(power_kw: float, taper_steps: int, k: int) -> np.ndarray:
     return (i * step if step != 0.0 else i / div * delta) + power_kw
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the module docstring
 def gen_ev_park(spec: EvParkSpec) -> tuple[LoadProfile, list[dict]]:
     """Generate the superposed charging-session shape.
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
@@ -295,6 +295,22 @@ def test_dispatch_config_file(capsys, tmp_path, profile_csv):
     code, out, _ = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["recharge_threshold"] == 0.1
+
+
+def test_int_zero_config_is_its_float_twin(capsys, tmp_path, profile_csv):
+    # -(0) is +0 where -(0.0) is -0.0: stored as a float, the int recharge
+    # power gives the SC's recharge steps the float config's signed zeros
+    traces = []
+    for zero in ("0", "0.0"):
+        cfg = tmp_path / f"cfg-{zero}.json"
+        cfg.write_text(f'{{"sc_recharge_power_kw": {zero}, "recharge_threshold": 0.2}}')
+        trace = tmp_path / f"t-{zero}.csv"
+        code, out, _ = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg),
+                           "--trace", str(trace))
+        assert code == 0
+        traces.append(trace.read_bytes())
+    assert b",-0.0," in traces[1]
+    assert traces[0] == traces[1]
 
 
 def test_dispatch_config_via_env(capsys, tmp_path, monkeypatch, profile_csv):
@@ -642,6 +658,24 @@ def test_synth_nan_spec_exits_2(capsys, tmp_path, flags):
     assert not out_csv.exists()
 
 
+_OVERFLOWING_SYNTH = [
+    {"kind": "machine", "flags": {"--scale-kw": "1e400"}},  # an off step's 0.0 * inf
+    {"kind": "municipal", "flags": {"--noise-sigma": "1.0", "--scale-kw": "1e400"}},
+    {"kind": "ev_park", "flags": {"--charge-power": "1e400"}},
+    {"kind": "ev_park", "flags": {"--charge-power": "1e308"}},  # sessions superpose
+    {"kind": "municipal", "flags": {"--noise-sigma": "1e300", "--scale-kw": "1e10"}},
+]
+
+
+@pytest.mark.parametrize("case", _OVERFLOWING_SYNTH)
+def test_synth_overflow_is_one_error_line(capsys, tmp_path, case):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", "--kind", case["kind"], "--out", str(out_csv),
+                         *(x for kv in case["flags"].items() for x in kv))
+    assert (code, out, err) == (2, "", "error: samples must all be finite\n")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("flags", [("--dt", "1e-9"), ("--days", "400")])
 def test_synth_sample_count_is_bounded(capsys, tmp_path, flags):
     tracemalloc.start()
@@ -750,6 +784,11 @@ def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, fla
         lambda v: v in ("nan", "-inf", "x", "") or not 0.0 < float(v) < 2.0)
     | st.sampled_from(["1e-9", "0.001"]),
 )
+@example(**_OVERFLOWING_SYNTH[0], days="1", dt="2.0")
+@example(**_OVERFLOWING_SYNTH[1], days="1", dt="2.0")
+@example(**_OVERFLOWING_SYNTH[2], days="1", dt="2.0")
+@example(**_OVERFLOWING_SYNTH[3], days="1", dt="2.0")
+@example(**_OVERFLOWING_SYNTH[4], days="1", dt="2.0")
 def test_no_synth_flag_is_an_internal_error(capsys, tmp_path, kind, flags, days, dt):
     if "--arrival-rate" in flags and flags["--arrival-rate"] not in ("x", ""):
         rate = float(flags["--arrival-rate"])

@@ -9,6 +9,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from hessplit.ems import (
     write_sweep_csv,
 )
 from hessplit.errors import (
+    AllZeroProfileError,
     DegenerateBaseLoadWarning,
     IncompatibleResolutionError,
     InvalidConfigError,
@@ -90,6 +92,13 @@ def test_device_validation():
         DeviceParams(vrfb_efficiency=0.0)
     assert DeviceParams(sc_recharge_power_kw=0.0).sc_recharge_kw == 0.0
     assert DeviceParams().vrfb_recharge_kw == 5.0
+
+
+@pytest.mark.parametrize("big", [10 ** 400, Fraction(10 ** 400), Fraction(-10 ** 400, 3)])
+def test_exact_numbers_beyond_float_range_are_rejected(big):
+    # float() would raise OverflowError on each of them
+    with pytest.raises(InvalidConfigError, match="^vrfb_energy_kwh must be a number, got "):
+        DeviceParams(vrfb_energy_kwh=big)
 
 
 @pytest.mark.parametrize("dev", ["sc", "vrfb"])
@@ -451,9 +460,10 @@ def test_negative_zero_sc_power_matches_naive_oracle():
 
 @pytest.mark.parametrize("mode", list(EngageMode))
 def test_int_config_matches_naive_oracle(rng, mode):
-    # int fields, as a JSON config file gives them: the kernel stores the int
-    # powers it clamps to as the doubles that lists of the oracle's steps make
+    # int fields, as a JSON config file gives them, are stored as floats, so
+    # the oracle, reading the same config, steps in floats alone
     dev = DeviceParams(**json.loads('{"vrfb_power_kw": 5, "sc_power_kw": 3}'))
+    assert (type(dev.vrfb_power_kw), type(dev.sc_power_kw)) == (float, float)
     cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=mode)
     pu = rng.uniform(0.0, 1.0, size=600)
     pu[17] = 1.0
@@ -462,7 +472,7 @@ def test_int_config_matches_naive_oracle(rng, mode):
 
     pu_l = norm.pu.tolist()
     o_sc, o_v, o_g, o_ssc, o_sv = naive_dispatch(pu_l, 1.0, 20.0, cfg, dev)
-    assert {type(x) for x in o_sc} == {type(x) for x in o_v} == {int, float}
+    assert {type(x) for x in o_sc} == {type(x) for x in o_v} == {float}
     load = np.array([x * 20.0 for x in pu_l])
     sc, vrfb, grid = (np.array(o, dtype=np.float64) for o in (o_sc, o_v, o_g))
     flag_sc = np.array([x > 0.8 for x in pu_l])
@@ -484,6 +494,86 @@ def test_int_config_matches_naive_oracle(rng, mode):
     )
     assert repr(res.stats) == repr(stats)
     assert repr(threshold_sweep(norm, [0.8], cfg, dev)) == repr([(0.8, stats)])
+
+
+def _as_number(floats, ints=()):
+    """A value of ``floats`` as an np.float32, an np.float64 or a nearby
+    Fraction, or one of ``ints``."""
+    return st.one_of(
+        st.sampled_from(ints) if ints else st.nothing(),
+        floats.map(np.float32), floats.map(np.float64),
+        floats.map(lambda x: Fraction(x).limit_denominator(1000)),
+    )
+
+
+_ZEROS = [0, json.loads("-0")]  # JSON's -0 is the int 0
+_CFG_NUMBERS = dict(
+    sc_threshold=_as_number(st.floats(0.3, 0.95)),
+    derivative_threshold=_as_number(st.floats(0.05, 1.0), [1]),
+    recharge_threshold=st.none() | _as_number(st.floats(0.0, 0.25), _ZEROS),
+)
+_FRACTIONS = _as_number(st.floats(0.0, 1.0), [0, 1])
+_RECHARGE_POWERS = st.none() | _as_number(st.floats(0.0, 10.0), _ZEROS + [2])
+_EFFICIENCIES = _as_number(st.floats(0.5, 1.0), [1])
+_DEV_NUMBERS = dict(
+    vrfb_power_kw=_as_number(st.floats(0.5, 10.0), [1, 5]),
+    vrfb_energy_kwh=_as_number(st.floats(0.01, 20.0), [1, 10]),
+    vrfb_ramp_kw_per_s=_as_number(st.floats(0.1, 5.0), [1, 3]),
+    sc_power_kw=_as_number(st.floats(0.5, 10.0), [1, 5]),
+    sc_energy_kwh=_as_number(st.floats(0.001, 0.1), [1]),
+    sc_initial_soc_fraction=_FRACTIONS,
+    vrfb_initial_soc_fraction=_FRACTIONS,
+    sc_recharge_power_kw=_RECHARGE_POWERS,
+    vrfb_recharge_power_kw=_RECHARGE_POWERS,
+    sc_efficiency=_EFFICIENCIES,
+    vrfb_efficiency=_EFFICIENCIES,
+)
+
+
+_MACHINE_PU = normalize(gen_machine(MachineSpec(days=1))[0]).pu
+_MUNICIPAL_PU = normalize(gen_municipal(MunicipalSpec(days=1))[0]).pu
+# 3,000 steps each: machine on/off blocks, and the municipal rise through 0.8 pu
+_TWIN_PROFILES = [_norm(_MACHINE_PU[:3000]), _norm(_MACHINE_PU[40_000:43_000]),
+                  _norm(_MUNICIPAL_PU[54_000:57_000])]
+
+
+def _outputs(norm, cfg, dev):
+    """The trace CSV, summary and sweep CSV of one config, as text."""
+    trace, table = io.StringIO(), io.StringIO()
+    res = dispatch(norm, cfg, dev)
+    write_dispatch_csv(res, trace)
+    write_sweep_csv(threshold_sweep(norm, [0.5, 0.7, 0.9], cfg, dev), table)
+    return trace.getvalue(), repr((res.stats, res.recharge_threshold)), table.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(norm=st.sampled_from(_TWIN_PROFILES), mode=st.sampled_from(list(EngageMode)),
+       cfg_numbers=st.fixed_dictionaries(_CFG_NUMBERS),
+       dev_numbers=st.fixed_dictionaries(_DEV_NUMBERS))
+def test_number_types_dispatch_as_their_floats(norm, mode, cfg_numbers, dev_numbers):
+    # an int (0 and JSON's -0 included), an np.float32, an np.float64 or a
+    # Fraction is stored as its float: the outputs are the float twin's
+    def build(cfg_numbers, dev_numbers):
+        return EmsConfig(sc_engage_mode=mode, **cfg_numbers), DeviceParams(**dev_numbers)
+
+    cfg, dev = build(cfg_numbers, dev_numbers)
+    stored = [getattr(obj, name) for obj, names in ((cfg, cfg_numbers), (dev, dev_numbers))
+              for name in names]
+    assert {type(v) for v in stored if v is not None} == {float}
+    twin = build(*({k: None if v is None else float(v) for k, v in numbers.items()}
+                   for numbers in (cfg_numbers, dev_numbers)))
+    assert _outputs(norm, cfg, dev) == _outputs(norm, *twin)
+
+
+@pytest.mark.parametrize("pu, p_max", [([0.0] * 200, 10.0), ([0.25] * 200, 5e-324)])
+def test_zero_load_in_kw_is_rejected(pu, p_max):
+    # the energy shares would be 0.0 / 0.0; a 5e-324 peak rounds 0.25 pu to 0.0 kW
+    norm = _norm(pu, p_max=p_max)
+    cfg = EmsConfig(recharge_threshold=0.1)
+    with pytest.raises(AllZeroProfileError, match="^profile 't' has no load in kW to split$"):
+        dispatch(norm, cfg)
+    with pytest.raises(AllZeroProfileError, match="no load in kW"):
+        threshold_sweep(norm, [0.5, 0.6], cfg)
 
 
 # --- memory ---
@@ -791,8 +881,8 @@ def test_window_writes_only_steps_the_contract_takes(lead, level, n, recharge, m
     runs = []  # the load, the modes and _repeats' bytes of the run
     real = ems._repeats
 
-    def spy(load, modes, params):
-        runs.append((load, modes, real(load, modes, params)))
+    def spy(load, modes):
+        runs.append((load, modes, real(load, modes)))
         return runs[-1][2]
 
     with mock.patch.object(ems, "_repeats", spy):
@@ -912,6 +1002,13 @@ def test_machine_day_runs_mostly_in_windows(monkeypatch):
     scalar = dispatch(norm)  # every step in the loop
     for name in _TRACE_FIELDS:
         assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
+
+
+def test_int_json_config_takes_the_windows():
+    # the int 5 of a JSON config is stored as 5.0, so its run is 5.0's
+    norm = normalize(gen_machine(MachineSpec(days=1))[0])
+    dev = DeviceParams(**json.loads('{"vrfb_power_kw": 5}'))
+    assert _loop_passes(lambda: dispatch(norm, EmsConfig(), dev)) == 1316
 
 
 def test_sweep_point_starts_at_its_first_differing_step():

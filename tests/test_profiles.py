@@ -8,6 +8,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hessplit import (
     Category,
     EmsConfig,
     LoadProfile,
+    analyze_profile,
     dispatch,
     load_catalog,
     normalize,
@@ -39,6 +41,7 @@ from hessplit.errors import (
     UpsamplingForbiddenError,
 )
 from hessplit.profiles import _parse_loadtxt, _parse_rows, profile_to_csv
+from hessplit.report import report_to_dict
 
 
 def test_parse_epoch_timestamps():
@@ -141,6 +144,21 @@ def test_non_uniform_grid_rejected():
         parse_profile("timestamp,power_kw\n5,1\n5,1\n5,1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("timestamp,power_kw\n0,1\n\n1,1\n2,1\n\n\n5,1\n",
+     "row 8: gap 3.0 s deviates from inferred interval 1.0 s"),
+    ("timestamp,power_kw\n\n0,1\n\n0,1\n",
+     "timestamps not strictly increasing at row 5 (dt=0.0)"),
+])
+def test_grid_errors_count_blank_lines(tmp_path, text, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    for parse in (lambda: parse_profile(text), lambda: parse_profile_file(path)):
+        with pytest.raises(NonUniformGridError) as err:
+            parse()
+        assert str(err.value) == message
+
+
 def test_grid_tolerates_millisecond_jitter():
     p = parse_profile("timestamp,power_kw\n0.0,1\n1.0004,1\n2.0,1\n")
     assert p.n_samples == 3
@@ -176,6 +194,37 @@ def test_profile_validation():
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, -2.0]))
     with pytest.raises(InvalidProfileError):
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "0", True])
+def test_t0_must_be_a_finite_number(t0):
+    with pytest.raises(InvalidProfileError, match="^t0 must be a"):
+        LoadProfile(site_id="x", t0=t0, dt=1.0, samples=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("t0, dt", [
+    (0, 1), (1_600_000_000, 2), (np.int64(-7), np.float32(0.5)),
+    (np.float32(1.5), np.float64(0.25)), (Fraction(3, 2), Fraction(1, 4)), (2 ** 53 + 1, 2),
+])
+def test_number_types_give_the_float_csv(rng, t0, dt):
+    # t0 and dt are stored as floats: an int-built profile has the canonical
+    # CSV, input_sha256 and report of its float twin and of its own CSV read back
+    samples = rng.uniform(0.0, 5.0, size=200)
+    p = LoadProfile(site_id="x", t0=t0, dt=dt, samples=samples)
+    assert (type(p.t0), type(p.dt)) == (float, float)
+    twin = LoadProfile(site_id="x", t0=float(t0), dt=float(dt), samples=samples)
+    back = parse_profile(profile_to_csv(p), site_id="x")
+    texts = {json.dumps(report_to_dict(analyze_profile(q))) for q in (p, twin, back)}
+    assert len(texts) == 1
+    assert profile_to_csv(p) == profile_to_csv(twin) == profile_to_csv(back)
+
+
+def test_numpy_dt_is_checked_as_its_float():
+    # in float32, 1e39 kWh * 1 s overflows; in numpy, 1 / 1e-310 warns
+    p = LoadProfile(site_id="x", t0=0.0, dt=np.float32(1.0), samples=np.array([1e39, 0.0]))
+    assert p == LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1e39, 0.0]))
+    with pytest.raises(InvalidProfileError, match="1/dt overflows a float"):
+        LoadProfile(site_id="x", t0=0.0, dt=np.float64(1e-310), samples=np.array([1.0, 2.0]))
 
 
 def test_profile_energy_must_fit_a_float():
