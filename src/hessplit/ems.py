@@ -765,7 +765,8 @@ def threshold_sweep(
 ) -> list[tuple[float, UtilizationStats]]:
     """Dispatch once per SC threshold and tabulate the utilization numbers.
 
-    Thresholds must each lie in (0, 1) and be given in ascending order;
+    Each threshold is checked as :class:`EmsConfig` checks ``sc_threshold``
+    (a real number in (0, 1)), and they must be given in ascending order;
     rows come back in the same order. An empty list yields an empty table.
     Each row equals ``dispatch(norm, replace(cfg, sc_threshold=t), dev).stats``.
     The load in kW, the steep-derivative mask and the base-load estimate do
@@ -777,20 +778,15 @@ def threshold_sweep(
     can differ (see :func:`_run`), so a sweep costs more the more of the
     profile lies above its lower thresholds.
     """
-    prev = 0.0
-    for thr in thresholds:
-        if not 0.0 < thr < 1.0:
-            raise InvalidConfigError(f"sweep threshold must be in (0, 1), got {thr}")
-        if thr < prev:
-            raise InvalidConfigError("sweep thresholds must be ascending")
-        prev = thr
-    if len(thresholds) == 0:
+    configs = [replace(cfg, sc_threshold=thr) for thr in thresholds]
+    if any(b.sc_threshold < a.sc_threshold for a, b in zip(configs, configs[1:])):
+        raise InvalidConfigError("sweep thresholds must be ascending")
+    if not configs:
         return []
     load, steep, base = _prep(norm, cfg)
     out = np.empty((4, norm.n_samples))
     rows, prev_thr_kw, prev_rth = [], None, None
-    for thr in thresholds:
-        thr_cfg = replace(cfg, sc_threshold=thr)
+    for thr_cfg in configs:
         thr = thr_cfg.sc_threshold  # a float, as _run reads it
         rth = _recharge_threshold(thr_cfg, base).hex()  # tells -0.0 from 0.0
         engaged = _run(norm, thr_cfg, dev, load, steep, base, out,

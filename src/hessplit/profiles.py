@@ -14,11 +14,13 @@ go to the row parser directly.
 
 Every CSV this package writes is rendered by :func:`csv_blocks`, a few
 thousand rows at a time, from numpy columns. Each field is the ``repr`` of
-its value. A long column that repeats a few values (a dispatch trace's
-flags, powers and states) is rendered from a table holding the ``repr`` of
-each distinct value once; every other column takes the ``repr`` of each
-value. The text is the same either way, since equal bits give an equal
-``repr``.
+its value. Float fields come from a numpy kernel that computes the digits
+``repr`` prints, block by block (:func:`_fixed_digits` holds the argument
+that they are exactly those digits); the few values it does not take, and
+integer columns, are given ``repr`` itself. A long column that repeats a
+few values (a dispatch trace's flags, powers and states) is rendered from a
+table holding each distinct value's field once. The text is the same either
+way, since equal bits give an equal ``repr``.
 
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
@@ -35,6 +37,7 @@ import numbers
 import os
 import sys
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -110,42 +113,303 @@ _TABLE_SAMPLE = 1024
 #: A column is tabled when it has at most ``n // _TABLE_FRACTION`` distinct values.
 _TABLE_FRACTION = 8
 
+# Tables of the float kernel, indexed by the scale exponent j of _fixed_digits.
+_J = np.arange(23)
+#: ``10**j`` as floats, every one exact.
+_POW10 = np.array([float(10 ** j) for j in range(23)])
+#: Veltkamp's split of each ``10**j`` into a 26-bit high part and the rest.
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: ``10**min(j, 18)`` as int64: splits a candidate into integer and fraction.
+_IPOW10 = 10 ** np.minimum(_J, 18)
+#: A fraction of j digits becomes 20 digits, 8 high and 12 low:
+#: ``hi = frac // DIV * MUL`` and ``lo = frac % DIV * LO_MUL``.
+_FRAC_DIV = 10 ** np.maximum(_J - 8, 0)
+_FRAC_MUL = 10 ** np.maximum(8 - _J, 0)
+_FRAC_LO_MUL = np.where(_J > 8, 10 ** np.clip(20 - _J, 0, 18), 0)
 
-def _column_renderer(col: np.ndarray) -> Callable[[int, int], list]:
-    """A ``(start, end) -> list`` function giving the text of rows
-    ``start:end`` of one column: the ``repr`` of each value.
 
-    A column of at least :data:`CSV_BLOCK_ROWS` values is keyed by its bits:
-    a float column by its ``int64`` view, so ``-0.0`` and ``0.0`` stay
-    apart and so do NaN payloads, an integer column as it is. If a strided
-    sample of about :data:`_TABLE_SAMPLE` keys is not nearly all distinct
-    (counted with a ``set``: no sort for a column that cannot qualify), and
-    ``np.unique`` then finds at most ``n // _TABLE_FRACTION`` distinct keys,
-    the text comes from a table: the ``repr`` of the ``tolist()`` scalar at
-    each key's first occurrence, looked up one block at a time with
-    ``np.searchsorted``. Every other column takes the ``repr`` of each
-    ``tolist()`` scalar.
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The glyph words and the trailing zero digits of 0..9999 (four for 0).
+
+    Each glyph word is four ASCII bytes: ``0000``-``9999`` at 0, the sign
+    word ``0ddd`` or ``-ddd`` at 10000 or 11000, and ``ddd.`` at 12000.
     """
-    def plain(s, e):
-        return list(map(repr, col[s:e].tolist()))
+    digit = np.arange(10, dtype=np.uint8)
+    axes = [digit.reshape((10,) + (1,) * (3 - k)) for k in range(4)]  # most significant first
+    glyphs = np.empty((13000, 4), np.uint8)
+    for k, axis in enumerate(axes):
+        glyphs[:10000].reshape(10, 10, 10, 10, 4)[..., k] = axis + ord("0")
+    zero = [axis == 0 for axis in axes]
+    trailing_zeros = zero[3] * (1 + zero[2] * (1 + zero[1] * (1 + zero[0].astype(np.int64))))
+    glyphs[10000:11000] = glyphs[11000:12000] = glyphs[:1000]
+    glyphs[11000:12000, 0] = ord("-")
+    glyphs[12000:, :3] = glyphs[:1000, 1:]
+    glyphs[12000:, 3] = ord(".")
+    return glyphs.view(np.uint32).ravel(), trailing_zeros.ravel()
 
-    n = len(col)
-    if n < CSV_BLOCK_ROWS:
-        return plain
-    if col.dtype == np.float64:
+
+def _keep_table() -> np.ndarray:
+    """Keep flags of a float field, one row per ``(negative, integer digits,
+    fraction digits)`` at ``(neg * 15 + nint) * 21 + nfrac``."""
+    neg, nint, nfrac, pos = np.ogrid[:2, :15, :21, :36]
+    keep = (pos == 0) & (neg == 1) | (pos >= 15 - nint) & (pos < 16 + nfrac)
+    return (keep.reshape(-1, 36) * np.uint8(255)).view(np.uint32)
+
+
+_GLYPHS, _TRAILING_ZEROS = _digit_tables()
+_KEEPS = _keep_table()
+
+
+def _fixed_digits(a: np.ndarray, bits: np.ndarray):
+    """The digits ``repr`` prints for each ``|x|`` in ``a``, in fixed notation.
+
+    ``bits`` is the int64 view of each x. Returns ``(whole, frac, j, nint,
+    nfrac, fallback)``: the decimal is ``whole + frac / 10**j``, to be printed
+    with ``nint`` integer and ``nfrac`` fraction digits (leading and
+    trailing zeros dropped, at least one each), and ``fallback`` indexes the
+    values this kernel does not take. Those are the values outside
+    ``1e-4 <= |x| < 1e14`` other than zero (NaN and infinities among them),
+    mantissas that are a power of two, and exact ties between two
+    candidates; the caller gives them ``repr``.
+
+    Why the digits are exactly those of ``repr``. ``repr`` prints the shortest
+    decimal that reads back as x and, among the shortest, the one nearest x.
+    A decimal reads back as x when it lies in x's rounding interval, which
+    reaches half an ulp to each side (closed for an even mantissa, open for
+    an odd one; a power-of-two mantissa has a narrower lower side and is
+    left to ``repr``).
+
+    1. Scale: with ``E = floor(log10 |x|)`` and ``j = 16 - E`` (3 to 20),
+       ``V = |x| * 10**j`` lies in ``[1e16, 1e17)``. ``10**j`` is an exact
+       double, and Dekker's TwoProduct gives ``V = hi + lo`` exactly: the
+       split parts of both factors multiply exactly, and nothing overflows
+       or underflows at these magnitudes. ``log10`` may put E one off near a
+       power of ten; the exact test of ``hi + lo`` against 1e16 and 1e17
+       moves j until V is in range. ``hi >= 1e16 > 2**53`` is an integer,
+       so ``V = F + f`` with ``F = hi + floor(lo)`` an int64 and
+       ``0 <= f < 1`` exact.
+    2. Exactness of every compare: all of ``lo``, ``f`` and the half-ulp
+       ``h = 2**(e-1) * 10**j`` (x's ulp is ``2**e``) are multiples of
+       ``2**(e+j-1)``, which is at least ``2**-48`` here. ``h`` is an exact
+       double (a power of two times ``5**j < 2**53``), and so is any such
+       multiple below 32 in magnitude. Each distance below (an integer under
+       17 plus or minus f) is one of those, and distances of 16 or more are
+       clipped to 16 or 17, which no interval reaches: ``h < 11.2``.
+    3. Candidates: the nearest multiple of 100, 10 and 1 to V, that is x
+       rounded to 15, 16 and 17 significant digits. The first that lies
+       within ``h`` of V (strictly, for an odd mantissa) is ``repr``'s:
+       - 15 digits: multiples of 100 are further apart than the interval is
+         wide (``2h < 23``), so at most one fits. If some decimal of 15 or
+         fewer digits fits, it is that one (its digits padded with zeros), and
+         being the only one it is also the nearest. Printing drops its
+         trailing zeros, which gives the shortest.
+       - 16 digits: the interval is symmetric, so if any 16-digit decimal
+         fits, the nearest does; ``repr`` takes the nearest.
+       - 17 digits: ``V / h < 2**54`` gives ``h >= 0.555 > 0.5``, so the
+         nearest integer always fits.
+       A candidate exactly halfway between two (``f == 0.5`` or ``V`` a
+       multiple of 5) is a tie that ``repr`` breaks by its own rule; it is
+       left to ``repr``.
+    4. The candidate ``C`` (at most ``10**17``) stands for ``C / 10**j``.
+       Its integer part has at most 14 digits: 1e14 is a double, so no
+       rounding interval of a smaller double holds it. Its fraction has at
+       most ``j <= 20`` digits.
+    """
+    mantissa = bits & (2 ** 52 - 1)
+    zero = a == 0.0
+    ok = (a >= 1e-4) & (a < 1e14) & (mantissa != 0)
+    a = np.where(ok, a, 1.5)  # a placeholder where the kernel does not apply
+    j = 16 - np.floor(np.log10(a)).astype(np.int64)
+    split = a * 134217729.0  # Veltkamp: 2**27 + 1
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    while True:
+        p, p_hi, p_lo = _POW10[j], _POW10_HI[j], _POW10_LO[j]
+        hi = a * p
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        if not ((hi <= 1e16) | (hi >= 1e17)).any():
+            break
+        low = (hi < 1e16) | (hi == 1e16) & (lo < 0.0)
+        high = (hi > 1e17) | (hi == 1e17) & (lo >= 0.0)
+        if not (low.any() or high.any()):
+            break
+        j += low
+        j -= high
+    floor = np.floor(lo)
+    v = hi.astype(np.int64) + floor.astype(np.int64)
+    f = lo - floor
+    # half an ulp of a, from its exponent bits; then h, lowered by one ulp of
+    # h for an odd mantissa, so that "dist <= h" is the strict bound there
+    half_ulp = ((a.view(np.int64) & (0x7FF << 52)) - (53 << 52)).view(np.float64)
+    h = ((half_ulp * p).view(np.int64) - (mantissa & 1)).view(np.float64)
+    r2 = v - v // 100 * 100
+    r1 = r2 - r2 // 10 * 10
+    up15 = np.minimum(100 - r2, 17) - f <= h
+    fit15 = up15 | (np.minimum(r2, 16) + f <= h)
+    down16 = r1 + f
+    up16 = (10 - r1) - f
+    fit16 = np.minimum(down16, up16) <= h
+    c = np.where(fit15, v - r2 + 100 * up15,
+                 np.where(fit16, v - r1 + 10 * (up16 < down16), v + (f > 0.5)))
+    tie = ~fit15 & np.where(fit16, down16 == up16, f == 0.5)
+    fallback = np.flatnonzero(~zero & (~ok | tie))
+    c[zero] = 0
+
+    whole, frac = np.divmod(c, _IPOW10[j])
+    nint = np.maximum(17 - j + (c >= 10 ** 17), 1)
+    rest = c // 10000
+    tz = _TRAILING_ZEROS[c - rest * 10000]
+    more = np.flatnonzero(tz == 4)
+    for _ in range(4):  # c < 10**18 has at most five groups of four digits
+        if not more.size:
+            break
+        rest[more], last = np.divmod(rest[more], 10000)
+        zeros = _TRAILING_ZEROS[last]
+        tz[more] += zeros
+        more = more[zeros == 4]
+    return whole, frac, j, nint, np.maximum(j - tz, 1), fallback
+
+
+def _digit_groups(value: np.ndarray, out: np.ndarray) -> None:
+    """Write the last ``4 * len(out)`` digits of ``value`` into the rows of
+    ``out``, four digits per row, most significant first."""
+    for row in out[:0:-1]:
+        rest = value // 10000
+        np.subtract(value, rest * 10000, out=row)
+        value = rest
+    out[0] = value
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 of ``x`` as a row of ASCII bytes, NUL
+    where the ``repr`` has no byte.
+
+    A row is a sign byte, 14 integer digits, ``.`` and 20 fraction digits,
+    built four bytes at a time from the words of :data:`_GLYPHS` and masked
+    by a row of :data:`_KEEPS`, which clears the sign of a positive value,
+    leading zeros of the integer part and trailing zeros of the fraction,
+    but keeps one digit on each side of the point. When every value is a
+    whole number below ``1e14`` the digits are the integer itself;
+    otherwise :func:`_fixed_digits` computes them, and the rows of the
+    values it does not take are overwritten with their ``repr``. Byte
+    columns that no row uses are cut off at both ends.
+    """
+    a = np.abs(x)
+    negative = np.signbit(x)
+    groups = np.empty((9, len(x)), np.int64)
+    if (a < 1e14).all() and (np.trunc(a) == a).all():  # NaN fails the first test
+        whole = a.astype(np.int64)
+        nint = np.searchsorted(_IPOW10[1:15], whole, side="right") + 1
+        nfrac, fallback = 1, ()
+        groups[4:] = 0
+    else:
+        whole, frac, j, nint, nfrac, fallback = _fixed_digits(a, x.view(np.int64))
+        high, low = np.divmod(frac, _FRAC_DIV[j])  # 20 fraction digits: 8 + 12
+        _digit_groups(high * _FRAC_MUL[j], groups[4:6])
+        _digit_groups(low * _FRAC_LO_MUL[j], groups[6:])
+    thousands = whole // 1000
+    groups[3] = whole - thousands * 1000 + 12000  # "ddd."
+    top = thousands // 10 ** 8
+    groups[0] = top + 10000 + 1000 * negative  # "0ddd" or "-ddd"
+    _digit_groups(thousands - top * 10 ** 8, groups[1:3])
+    words = np.ascontiguousarray(_GLYPHS[groups.T])
+    words &= _KEEPS[(negative * 15 + nint) * 21 + nfrac]
+    text = words.view(np.uint8)
+    if len(fallback):
+        text[fallback] = _repr_fields(x[fallback], 36)
+        return text
+    start = 0 if negative.any() else 15 - np.max(nint, initial=1)
+    return text[:, start:16 + np.max(nfrac, initial=1)]
+
+
+def _repr_fields(values: np.ndarray, width: int = 0) -> np.ndarray:
+    """The ``repr`` of each ``tolist()`` scalar as a row of ASCII bytes,
+    left-aligned and padded with NUL bytes, ``width`` bytes long or as long
+    as the longest ``repr``."""
+    raw = np.array(list(map(repr, values.tolist())), dtype=f"S{width or ''}")
+    return raw.view(np.uint8).reshape(len(values), raw.dtype.itemsize)
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """The field of every value as a NUL-padded byte row: the float kernel
+    for float64, ``repr`` for the rest."""
+    if values.dtype == np.float64:
+        return _float_fields(values)
+    return _repr_fields(values)
+
+
+def _left_aligned(text: np.ndarray) -> np.ndarray:
+    """The non-NUL bytes of each row moved to its start, in rows as long as
+    the longest, padded with NUL bytes."""
+    keep = text != 0
+    lengths = keep.sum(axis=1)
+    packed = np.zeros((len(text), int(lengths.max(initial=0))), np.uint8)
+    packed[np.arange(packed.shape[1]) < lengths[:, None]] = text[keep]
+    return packed
+
+
+def _may_table(keys: np.ndarray) -> bool:
+    """Whether a strided sample of about :data:`_TABLE_SAMPLE` keys suggests a
+    column with at most ``n // _TABLE_FRACTION`` distinct values.
+
+    Two gates on the sample alone spare the sort of most columns that cannot
+    qualify; ``np.unique`` decides the rest. The sample must not be nearly
+    all distinct, and the bias-corrected Chao1 estimate of the column's
+    distinct values, ``d + f1 (f1 - 1) / (2 (f2 + 1))`` with ``f1`` and
+    ``f2`` the sample's values seen once and twice, must not exceed the
+    table threshold. A column that mixes one frequent value with values
+    seen once (a dispatch trace's grid or battery power) passes the first
+    gate, and the second catches it.
+    """
+    n = len(keys)
+    sample = keys[:: n // _TABLE_SAMPLE].tolist()
+    counts = Counter(sample)
+    if len(counts) * 8 > len(sample) * 7:  # more than 7 in 8 distinct
+        return False
+    seen = Counter(counts.values())
+    f1, f2 = seen[1], seen[2]
+    return len(counts) + f1 * (f1 - 1) / (2 * (f2 + 1)) <= n // _TABLE_FRACTION
+
+
+def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A ``(start, end) -> text`` function giving the fields of rows
+    ``start:end`` of one column as NUL-padded byte rows (see :func:`_fields`).
+
+    A float column of any width is rendered as float64, whose ``tolist()``
+    scalars are the same Python floats. A column of at least
+    :data:`CSV_BLOCK_ROWS` values is keyed by its bits: a float column by
+    its ``int64`` view, so ``-0.0`` and ``0.0`` stay apart and so do NaN
+    payloads, an integer column as it is. If :func:`_may_table` lets it
+    through and ``np.unique`` then finds at most ``n // _TABLE_FRACTION``
+    distinct keys, the rows come from a table: the fields of each key's
+    first occurrence, left-aligned, looked up one block at a time with
+    ``np.searchsorted``. Every other column renders each block's values.
+    Other dtypes raise ``TypeError``.
+    """
+    if col.dtype.kind == "f":
+        col = col.astype(np.float64, copy=False)
         keys = col.view(np.int64)
     elif col.dtype.kind in "biu":
         keys = col
     else:
-        return plain
-    sample = keys[:: n // _TABLE_SAMPLE].tolist()
-    if len(set(sample)) * 8 > len(sample) * 7:  # more than 7 in 8 distinct
+        raise TypeError(f"a CSV column must hold numbers, not {col.dtype}")
+
+    def plain(s, e):
+        return _fields(col[s:e])
+
+    n = len(col)
+    if n < CSV_BLOCK_ROWS or not _may_table(keys):
         return plain
     distinct, first = np.unique(keys, return_index=True)
     if len(distinct) > n // _TABLE_FRACTION:
         return plain
-    texts = np.array(list(map(repr, col[first].tolist())), dtype=object)
-    return lambda s, e: texts[np.searchsorted(distinct, keys[s:e])].tolist()
+    table = _left_aligned(_fields(col[first]))
+
+    def tabled(s, e):
+        return table[np.searchsorted(distinct, keys[s:e])]
+
+    return tabled
 
 
 def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
@@ -153,19 +417,31 @@ def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator
     :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column.
 
     How to render each column is decided once per call by
-    :func:`_column_renderer`. A long column with few distinct values (at
-    most one per :data:`_TABLE_FRACTION` rows) is rendered from a table of
-    the ``repr`` of each distinct value, computed once; every other column
-    takes the ``repr`` of each value. Values with equal bits have an equal
-    ``repr``, so the tabled text is the ``repr`` of every row's value. Each
-    block's fields are then joined into rows and the rows into the block
-    with ``str.join``.
+    :func:`_column_renderer`. A block is one matrix of bytes: each column's
+    fields in a run of byte columns, NUL where a field has no byte, then a
+    separator column, with ``\r\n`` after the last field. One boolean
+    compaction, which drops the NUL bytes, turns it into the block's text.
+    A long column with few distinct values (at most one per
+    :data:`_TABLE_FRACTION` rows) takes its bytes from a table of each
+    distinct value's field, rendered once; every other column renders each
+    value. Values with equal bits have equal fields, so the tabled text is
+    every row's own.
     """
     yield ",".join(header) + "\r\n"
     renderers = list(map(_column_renderer, columns))
-    for s in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        e = s + CSV_BLOCK_ROWS
-        yield "\r\n".join(map(",".join, zip(*(f(s, e) for f in renderers)))) + "\r\n"
+    n = len(columns[0])
+    for s in range(0, n, CSV_BLOCK_ROWS):
+        e = min(s + CSV_BLOCK_ROWS, n)
+        fields = [render(s, e) for render in renderers]
+        text = np.empty((e - s, sum(f.shape[1] for f in fields) + len(fields) + 1), np.uint8)
+        at = 0
+        for field in fields:
+            w = field.shape[1]
+            text[:, at:at + w] = field
+            text[:, at + w] = ord(",")
+            at += w + 1
+        text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+        yield text[text != 0].tobytes().decode("ascii")
 
 
 def write_csv(
@@ -173,14 +449,14 @@ def write_csv(
 ) -> None:
     r"""Write ``header`` and then equal-length ``columns``, row by row, as CSV.
 
-    Every field is the ``repr`` of the Python scalar ``tolist()`` gives (a
-    float at full precision, an integer as plain digits), fields are joined
-    by ``,`` and every row ends in ``\r\n``: byte for byte what ``csv.writer``
-    writes for the same ``repr`` strings, none of which needs quoting. Header
-    names are written as they are. The text comes from :func:`csv_blocks`,
-    which takes the ``repr`` of a long column's repeated values from a table
-    built once per distinct bit pattern: the same strings, since values with
-    equal bits have an equal ``repr``.
+    Columns hold numbers: bools, integers or floats. Every field is the
+    ``repr`` of the Python scalar ``tolist()`` gives (a float at full
+    precision, an integer as plain digits), fields are joined by ``,`` and
+    every row ends in ``\r\n``: byte for byte what ``csv.writer`` writes for
+    the same ``repr`` strings, none of which needs quoting. Header names are
+    written as they are. The text comes from :func:`csv_blocks`, which
+    computes float fields in numpy and takes a long column's repeated values
+    from a table built once per distinct bit pattern: the same strings.
 
     A path is opened as UTF-8 with ``newline=""`` and closed again; an open
     file is written as it is and left open.
@@ -252,6 +528,12 @@ class LoadProfile:
         dt = float(self.dt)  # a numpy scalar would compute in its own precision
         if not math.isfinite(1.0 / dt):  # the derivative divides pu steps (<= 1) by dt
             raise InvalidProfileError(f"dt={self.dt!r} s is too short: 1/dt overflows a float")
+        with np.errstate(over="ignore"):  # an infinite timestamp fails the grid check
+            times = _sample_times(float(self.t0), dt, arr.size)
+        if not _uniform_grid(times):  # the canonical CSV would not read back
+            raise InvalidProfileError(
+                f"t0={self.t0!r} and dt={self.dt!r} s do not give {arr.size} finite, evenly "
+                f"spaced timestamps: gaps must stay within {GRID_TOLERANCE_S} s of dt")
         with np.errstate(over="ignore"):
             total = float(arr.sum())
         # Half the float range leaves room for the few ulps by which a rescaled
@@ -285,8 +567,27 @@ class LoadProfile:
 
     def times(self) -> np.ndarray:
         """Epoch seconds of every sample."""
-        # t0 + i * dt for every i, bit for bit: arange's int-to-float is exact
-        return self.t0 + np.arange(self.samples.size) * self.dt
+        return _sample_times(self.t0, self.dt, self.samples.size)
+
+
+def _sample_times(t0: float, dt: float, n: int) -> np.ndarray:
+    """``t0 + i * dt`` for every ``i < n``; each ``i`` is an exact float."""
+    times = np.arange(n, dtype=np.float64)
+    times *= dt
+    times += t0
+    return times
+
+
+def _uniform_grid(t: np.ndarray) -> bool:
+    """Whether two or more timestamps pass the row parser's grid checks: all
+    finite, the first gap above 0, and every gap within
+    :data:`GRID_TOLERANCE_S` of the first."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails below
+        gaps = np.diff(t)
+        first = gaps[0]
+        gaps -= first  # a later timestamp is finite when t[0] and every gap are
+        return bool(np.isfinite(t[0]) and first > 0.0
+                    and np.abs(gaps, out=gaps).max() <= GRID_TOLERANCE_S)
 
 
 @dataclass(frozen=True)
@@ -418,13 +719,12 @@ def _parse_loadtxt(
             table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1:] != (2,) or table.shape[0] < 2 or not np.isfinite(table).all():
+    if table.shape[1:] != (2,) or table.shape[0] < 2:
         return None
     t, p = table[:, 0], table[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails below
-        dt = t[1] - t[0]
-        if not dt > 0.0 or not (np.abs(np.diff(t) - dt) <= GRID_TOLERANCE_S).all():
-            return None
+    if not (_uniform_grid(t) and np.isfinite(p).all()):
+        return None
+    dt = t[1] - t[0]
     if clamp_negative:
         p = np.where(p < 0.0, 0.0, p)
     elif (p < 0.0).any():

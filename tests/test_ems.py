@@ -647,6 +647,9 @@ def test_sweep_validates_thresholds():
         threshold_sweep(norm, [0.9, 0.5], NO_RECHARGE)
     with pytest.raises(InvalidConfigError):
         threshold_sweep(norm, [1.0], NO_RECHARGE)
+    for thresholds in (["0.5"], [None], [0.5, "0.7"]):
+        with pytest.raises(InvalidConfigError, match="^sc_threshold must be a number, got "):
+            threshold_sweep(norm, thresholds, NO_RECHARGE)
     assert threshold_sweep(norm, [], NO_RECHARGE) == []
 
 

@@ -202,6 +202,31 @@ def test_t0_must_be_a_finite_number(t0):
         LoadProfile(site_id="x", t0=t0, dt=1.0, samples=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("t0, dt, n", [
+    (1e300, 1.0, 3),  # three equal 1e+300 timestamps
+    (1.7e308, 1e307, 3),  # the last timestamp overflows to inf
+    (2.0 ** 53, 0.5, 4),  # gaps of 0 and 2 s around an inferred interval of 0 s
+    (1e15, 0.1, 100),  # gaps of 0.125 and 0 s: off the grid by far more than 1 ms
+])
+def test_timestamps_must_read_back_as_a_grid(t0, dt, n):
+    # the canonical CSV would fail parse_profile's grid check, so input_sha256
+    # would name a profile that cannot be read back; no RuntimeWarning either
+    with pytest.raises(InvalidProfileError, match="finite, evenly spaced timestamps"):
+        LoadProfile(site_id="x", t0=t0, dt=dt, samples=np.ones(n))
+    with np.errstate(over="ignore"):
+        times = (t0 + np.arange(n) * dt).tolist()
+    with pytest.raises((NonUniformGridError, MalformedRowError)):
+        parse_profile("timestamp,power_kw\n" + "".join(f"{t!r},1.0\n" for t in times))
+
+
+def test_large_epoch_grid_is_accepted():
+    # 1.6e9 s at 0.1 s: every gap rounds to within an ulp (2.4e-7 s) of the first
+    p = LoadProfile(site_id="x", t0=1.6e9, dt=0.1, samples=np.ones(10_000))
+    back = parse_profile(profile_to_csv(p), site_id="x")
+    assert (back.t0, back.n_samples) == (p.t0, p.n_samples)
+    assert abs(back.dt - p.dt) < 1e-6
+
+
 @pytest.mark.parametrize("t0, dt", [
     (0, 1), (1_600_000_000, 2), (np.int64(-7), np.float32(0.5)),
     (np.float32(1.5), np.float64(0.25)), (Fraction(3, 2), Fraction(1, 4)), (2 ** 53 + 1, 2),

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import builtins
 import csv
 import hashlib
 import io
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from hessplit import (
 )
 from hessplit import profiles
 from hessplit.profiles import CSV_BLOCK_ROWS, csv_blocks, profile_to_csv, write_csv
+from hessplit.synth import MachineSpec, MunicipalSpec, generate
 from hessplit.transient import histogram
 
 AWKWARD = [-0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-5, 1 / 3, 0.1 + 0.2, 1e22,
@@ -119,21 +120,22 @@ def test_long_columns_match_csv_writer(kinds, n, seed):
     assert_same_text(buf.getvalue(), reference_csv(header, zip(*(c.tolist() for c in columns))))
 
 
-def count_reprs(monkeypatch, columns):
-    """Render ``columns`` and return how many times ``repr`` ran: once per
+def count_rendered(monkeypatch, columns):
+    """Render ``columns`` and return how many values were rendered: once per
     distinct value of a tabled column, once per row of any other."""
     calls = []
+    fields = profiles._fields
 
-    def counting_repr(x):
-        calls.append(x)
-        return builtins.repr(x)
+    def counting_fields(values):
+        calls.append(len(values))
+        return fields(values)
 
-    monkeypatch.setattr(profiles, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(profiles, "_fields", counting_fields)
     header = [f"c{i}" for i in range(len(columns))]
     text = "".join(csv_blocks(header, columns))
     monkeypatch.undo()
     assert_same_text(text, reference_csv(header, zip(*(c.tolist() for c in columns))))
-    return len(calls)
+    return sum(calls)
 
 
 def test_long_low_cardinality_columns_are_tabled(monkeypatch):
@@ -141,19 +143,23 @@ def test_long_low_cardinality_columns_are_tabled(monkeypatch):
     few = np.resize([0.0, -0.0, 1 / 3, 5e-324, 7.0], n)
     flags = np.resize(np.array([0, 1], dtype=np.int8), n)
     distinct = np.arange(n) / 3.0
-    # one repr per distinct value of the two tabled columns, one per row of
-    # the distinct column and of a short one
-    assert count_reprs(monkeypatch, [few, distinct, flags]) == 5 + n + 2
-    assert count_reprs(monkeypatch, [distinct]) == n
-    assert count_reprs(monkeypatch, [few[: CSV_BLOCK_ROWS - 1]]) == CSV_BLOCK_ROWS - 1
+    # one rendered value per distinct value of the two tabled columns, one
+    # per row of the distinct column and of a short one
+    assert count_rendered(monkeypatch, [few, distinct, flags]) == 5 + n + 2
+    assert count_rendered(monkeypatch, [distinct]) == n
+    assert count_rendered(monkeypatch, [few[: CSV_BLOCK_ROWS - 1]]) == CSV_BLOCK_ROWS - 1
 
 
-def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
-    # the first sort in a process maps numpy's sort code: analyze never pays it
+def forbid_sort(monkeypatch):
     def no_sort(*args, **kwargs):
         raise AssertionError("np.unique called")
 
     monkeypatch.setattr(np, "unique", no_sort)
+
+
+def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
+    # the first sort in a process maps numpy's sort code: analyze never pays it
+    forbid_sort(monkeypatch)
     n = 3 * CSV_BLOCK_ROWS
     times = 1.6e9 + np.arange(n) * 0.5
     samples = rng.uniform(0.0, 250.0, size=n)
@@ -161,12 +167,111 @@ def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
     assert "".join(csv_blocks(["t", "p"], [times, samples])).count("\r\n") == n + 1
 
 
+def test_one_frequent_value_among_distinct_ones_is_not_sorted(monkeypatch, rng):
+    # a trace column pinned at one value on half its steps: the sample is far
+    # from all distinct, but nearly every other value in it is seen once
+    n = 3 * CSV_BLOCK_ROWS
+    col = rng.uniform(0.0, 250.0, size=n)
+    col[rng.random(n) < 0.5] = 50.0
+    forbid_sort(monkeypatch)
+    assert count_rendered(monkeypatch, [col]) == n
+
+
+def test_many_repeated_values_are_still_tabled(monkeypatch, rng):
+    # n // 32 distinct values in random order: most of those in the sample
+    # are seen there once, yet each repeats about 32 times in the column
+    n = 16 * CSV_BLOCK_ROWS
+    col = rng.choice(rng.uniform(0.0, 250.0, size=n // 32), size=n)
+    assert count_rendered(monkeypatch, [col]) == len(np.unique(col))
+
+
+@pytest.mark.parametrize("spec, sorted_columns", [
+    # every trace column but t has few values
+    (MachineSpec(days=1, seed=11), ["p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
+                                    "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"]),
+    # p_grid_kw, p_vrfb_kw and soc_vrfb_kwh hold 62,264, 36,664 and 35,841
+    # distinct values, each mostly seen once: no table, and no sort either
+    (MunicipalSpec(days=1, seed=42), ["p_sc_kw", "soc_sc_kwh", "flag_sc"]),
+])
+def test_archetype_traces_sort_only_the_columns_they_table(monkeypatch, spec, sorted_columns):
+    res = dispatch(normalize(generate(spec)[0]))
+    columns = {"p_load_kw": res.p_load_kw, "p_grid_kw": res.p_grid_kw, "p_sc_kw": res.p_sc_kw,
+               "p_vrfb_kw": res.p_vrfb_kw, "soc_sc_kwh": res.soc_sc_kwh,
+               "soc_vrfb_kwh": res.soc_vrfb_kwh, "flag_sc": res.flag_sc.astype(np.int8)}
+    keys = {name: c.view(np.int64) if c.dtype == np.float64 else c for name, c in columns.items()}
+    expected = res.n_steps * (1 + len(columns) - len(sorted_columns)) + sum(
+        len(np.unique(keys[name])) for name in sorted_columns)  # -0.0 is its own key
+    sorts, rendered = [], []
+    unique, fields = np.unique, profiles._fields
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    monkeypatch.setattr(profiles, "_fields", lambda v: rendered.append(len(v)) or fields(v))
+    write_dispatch_csv(res, io.StringIO())
+    assert (len(sorts), sum(rendered)) == (len(sorted_columns), expected)
+
+
 def test_table_threshold_is_one_distinct_value_per_eight_rows(monkeypatch):
     n = 4 * CSV_BLOCK_ROWS
     at = np.resize(np.arange(n // 8) / 3.0, n)
     over = np.resize(np.arange(n // 8 + 1) / 3.0, n)
-    assert count_reprs(monkeypatch, [at]) == n // 8
-    assert count_reprs(monkeypatch, [over]) == n
+    assert count_rendered(monkeypatch, [at]) == n // 8
+    assert count_rendered(monkeypatch, [over]) == n
+
+
+def rendered_column(values) -> list:
+    """The fields ``write_csv`` writes for a one-column table of ``values``."""
+    buf = io.StringIO()
+    write_csv(buf, ["x"], [np.asarray(values, dtype=np.float64)])
+    return buf.getvalue().split("\r\n")[1:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=50),
+       floats=st.lists(st.floats(), max_size=50))
+def test_float_fields_are_their_repr(bits, floats):
+    values = np.array(bits, dtype=np.uint64).view(np.float64).tolist() + floats
+    assert rendered_column(values) == list(map(repr, values))
+
+
+def sweep_values(rng, n):
+    """About ``9 * n`` floats of every kind the kernel must get right."""
+    sign = rng.choice([-1.0, 1.0], n)
+    digits = rng.integers(1, 18, n)
+    exponents = rng.integers(-6, 16, n)
+    mantissas = rng.integers(1, 10 ** 17, n) // 10 ** (17 - digits)
+    decimals = np.array([float(f"{m}e{e}") for m, e in zip(mantissas, exponents - digits + 1)])
+    powers = np.array([2.0 ** k for k in range(-40, 60)] + [float(f"1e{k}") for k in range(-8, 20)])
+    return np.concatenate([
+        rng.uniform(0.0, 1e3, n) * sign,
+        10.0 ** rng.uniform(-5, 16, n) * sign,  # log-spread, 1e-5 to 1e16
+        decimals, np.nextafter(decimals, np.inf), np.nextafter(decimals, -np.inf),
+        rng.integers(-2 ** 53, 2 ** 53, n).astype(np.float64),
+        rng.integers(-10 ** 6, 10 ** 6, n).astype(np.float64),
+        1.6e9 + rng.integers(0, 10 ** 8, n) / 10,  # epoch-second tenths
+        powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0), -powers,
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e14, np.nextafter(1e14, 0.0),
+         1e-4, np.nextafter(1e-4, 0.0), 9007199254740993.0],
+        rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(np.float64),
+    ])
+
+
+def test_seeded_sweep_matches_repr():
+    rng = np.random.default_rng(20261019)
+    values = sweep_values(rng, 112_000)
+    assert len(values) >= 1_000_000
+    got = "".join(csv_blocks(["x"], [values])).split("\r\n")[1:-1]
+    expected = list(map(repr, values.tolist()))
+    if got != expected:
+        bad = [(e, g) for e, g in zip(expected, got) if e != g]
+        pytest.fail(f"{len(bad)} fields differ from repr, first {bad[:5]}")
+    # in its range the kernel leaves to repr only exact ties: values whose
+    # exact decimal ends in a 5 at the 16th, 17th or 18th significant digit
+    a = np.abs(values)
+    inside = values[(a >= 1e-4) & (a < 1e14) & (values.view(np.int64) & (2 ** 52 - 1) != 0)]
+    fallback = profiles._fixed_digits(np.abs(inside), inside.view(np.int64))[-1]
+    assert len(fallback) <= len(inside) // 1000
+    for x in inside[fallback].tolist():
+        digits = "".join(map(str, Decimal(x).as_tuple().digits)).strip("0")
+        assert digits.endswith("5") and len(digits) in (16, 17, 18), x
 
 
 @pytest.fixture
