@@ -43,10 +43,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import InitVar, dataclass, replace
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -376,14 +374,15 @@ def dispatch(
         If ``pu * P`` is zero at every step.
     """
     load, steep, base = _prep(norm, cfg)
+    cfg = replace(cfg, recharge_threshold=_recharge_threshold(cfg, base))
     out = np.empty((4, norm.n_samples))
-    rth, flag_sc, engaged = _run(norm, cfg, dev, load, steep, base, out)
+    flag_sc, engaged = _run(norm, cfg, dev, load, steep, out)
     grid, stats = _summarize(load, engaged, out, norm.base_power_kw)
     return DispatchResult(
         dt=norm.dt, base_power_kw=norm.base_power_kw, p_load_kw=load, p_grid_kw=grid,
         p_sc_kw=out[0], p_vrfb_kw=out[1], soc_sc_kwh=out[2], soc_vrfb_kwh=out[3],
-        flag_sc=flag_sc, engaged_sc=engaged, recharge_threshold=rth, stats=stats,
-        _owned=True,
+        flag_sc=flag_sc, engaged_sc=engaged, stats=stats, _owned=True,
+        recharge_threshold=cfg.recharge_threshold,
     )
 
 
@@ -419,37 +418,40 @@ _ENGAGED, _RECHARGE = 1, 2
 
 def _run(
     norm: NormalizedProfile, cfg: EmsConfig, dev: DeviceParams, load: np.ndarray,
-    steep: Optional[np.ndarray], base: Optional[float], out: np.ndarray,
-    prev_thr_kw: Optional[float] = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    steep: Optional[np.ndarray], out: np.ndarray, prev_thr_kw: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """One dispatch on inputs from :func:`_prep` (the ``dispatch`` contract).
 
-    Writes ``p_sc``, ``p_vrfb``, ``soc_sc`` and ``soc_vrfb`` of every step
-    into the rows of ``out``, a float64 array of shape ``(4, n)``, and
-    returns the recharge threshold, the SC flag and the engaged mask. The
-    loop carries only the SoC and ramp recurrence. It stores step ``i`` by
-    item assignment on a memoryview of each row, which keeps a float's
-    double, signed zeros too. Each builtin ``min(a, b)`` of the contract is
-    written ``b if b < a else a`` and each ``max(a, b)`` as ``b if b > a
-    else a``: the first argument wins ties.
+    ``cfg`` names the resolved recharge threshold. Writes ``p_sc``,
+    ``p_vrfb``, ``soc_sc`` and ``soc_vrfb`` of every step into the rows of
+    ``out``, a float64 array of shape ``(4, n)``, and returns the SC flag and
+    the engaged mask. The loop carries only the SoC and ramp recurrence. It
+    stores step ``i`` by item assignment on a memoryview of each row, which
+    keeps a float's double, signed zeros too. Each builtin ``min(a, b)`` of
+    the contract is written ``b if b < a else a`` and each ``max(a, b)`` as
+    ``b if b > a else a``: the first argument wins ties.
+
+    The loop resumes by one rule after each of the four jumps below: a jump
+    sets the next step ``i``, before which ``out`` holds the contract's
+    steps, and breaks off the step iterator. The outer loop reloads
+    ``soc_sc``, ``soc_v`` and ``prev_v`` from ``out[:, i - 1]`` and restarts
+    the iterator at ``i`` on memoryview slices, which copy nothing.
 
     Battery-empty runs are handed to :func:`_fill_battery_empty`. The test
     for one sits where the energy reserve binds, which every step of an
     empty, resting battery with a positive VRFB target reaches, so other
     steps pay nothing for it. The SC's end-of-step SoC is therefore settled
     before the VRFB's part of the step. The fill writes the whole run, and
-    the loop resumes at the step that ends it with the state ``out`` holds
-    before that step. Nothing is filled if ``thr_kw`` underflows to 0.0: an
-    engaged -0.0 load then gives ``p_sc = -0.0``, which the fill omits.
+    the loop resumes at the step that ends it. Nothing is filled if
+    ``thr_kw`` underflows to 0.0: an engaged -0.0 load then gives ``p_sc =
+    -0.0``, which the fill omits.
 
     A step with the previous step's load bits, mode, ``p_sc`` and ``p_vrfb``
-    hands the steps after it to :func:`_fill_repeats`. Each step it writes
-    is the contract's step from its exact start state, so the loop skips
-    them and resumes with the state ``out`` holds before the next step. The
-    test costs a float compare on every step; the rest runs only when the
-    VRFB's power repeats. A window writes only steps the loop then skips, so
-    ahead of the loop ``out`` still holds the previous sweep point's trace,
-    which the re-sync below reads.
+    hands the steps after it to :func:`_fill_repeats`, and the loop resumes
+    where they end. The test costs a float compare on every step; the rest
+    runs only when the VRFB's power repeats. A window writes only steps the
+    loop then skips, so ahead of the loop ``out`` still holds the previous
+    sweep point's trace, which the re-sync below reads.
 
     ``prev_thr_kw`` says that ``out`` holds the run at a threshold ``a <=
     sc_threshold`` with ``a * P == prev_thr_kw`` and a recharge threshold of
@@ -461,11 +463,11 @@ def _run(
     An engaged ``p_load < a * P`` gives ``p_load - thr_kw < 0`` for both (a
     float ``x - y`` is never zero when ``x < y``), so +0.0 SC excesses, also
     if ``a * P`` underflows to 0.0. So the loop starts at the first step of
-    ``differs``, from out's state before it. Where it meets out's end state
-    again (checked at the battery-empty test only), it keeps out's steps up
-    to the next step of ``differs``, unless the fill has written past that.
+    ``differs``. Where it meets out's end state again (the re-sync, checked
+    at the battery-empty test only), it resumes at the next step of
+    ``differs``, unless the fill has written past that.
     """
-    rth = _recharge_threshold(cfg, base)
+    rth = cfg.recharge_threshold
     step_kwh = norm.dt / 3600.0
     q = dev.vrfb_ramp_kw_per_s * norm.dt
     thr_kw = cfg.sc_threshold * norm.base_power_kw
@@ -486,101 +488,97 @@ def _run(
     prev_v = 0.0
 
     w_sc, w_v, w_soc_sc, w_soc_v = map(memoryview, out)
-    start, differs = 0, None
+    loads, modes = memoryview(load), memoryview(mode.tobytes())
+    i, n, differs = 0, mode.size, None
     if prev_thr_kw is not None:
         differs = ((mode != _RECHARGE) & (load >= prev_thr_kw)).tobytes()
-        start = differs.find(1) if 1 in differs else mode.size
-        if start:
-            soc_sc, soc_v, prev_v = w_soc_sc[start - 1], w_soc_v[start - 1], w_v[start - 1]
+        i = differs.find(1) if 1 in differs else n
     fills = thr_kw > 0.0
     q_inf = math.isinf(q)
     same = _repeats(load, mode)
-    steps = enumerate(zip(memoryview(load)[start:], mode.tobytes()[start:]), start)
-    for i, (p_load, m) in steps:
-        if m == _RECHARGE:
-            room = (cap_sc - soc_sc) / step_kwh / eff_sc
-            p_sc = -(room if room < r_sc else r_sc)
-            if soc_sc >= cap_sc:
-                room = (cap_v - soc_v) / step_kwh / eff_v
-                target = -(room if room < r_v else r_v)
+    while i < n:
+        if i:
+            soc_sc, soc_v, prev_v = w_soc_sc[i - 1], w_soc_v[i - 1], w_v[i - 1]
+        for i, (p_load, m) in enumerate(zip(loads[i:], modes[i:]), i):
+            if m == _RECHARGE:
+                room = (cap_sc - soc_sc) / step_kwh / eff_sc
+                p_sc = -(room if room < r_sc else r_sc)
+                if soc_sc >= cap_sc:
+                    room = (cap_v - soc_v) / step_kwh / eff_v
+                    target = -(room if room < r_v else r_v)
+                else:
+                    target = 0.0
             else:
-                target = 0.0
-        else:
-            if m == _ENGAGED:
-                p_sc = p_load - thr_kw
-                if 0.0 > p_sc:
+                if m == _ENGAGED:
+                    p_sc = p_load - thr_kw
+                    if 0.0 > p_sc:
+                        p_sc = 0.0
+                    if pow_sc < p_sc:
+                        p_sc = pow_sc
+                    avail = soc_sc / step_kwh * eff_sc
+                    if avail < p_sc:
+                        p_sc = avail
+                else:
                     p_sc = 0.0
-                if pow_sc < p_sc:
-                    p_sc = pow_sc
-                avail = soc_sc / step_kwh * eff_sc
-                if avail < p_sc:
-                    p_sc = avail
-            else:
-                p_sc = 0.0
-            target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
-            if 0.0 > target:
-                target = 0.0
-        # nothing below reads the start-of-step soc_sc
-        soc = soc_sc - (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
-        if 0.0 > soc:
-            soc = 0.0
-        soc_sc = cap_sc if cap_sc < soc else soc
+                target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
+                if 0.0 > target:
+                    target = 0.0
+            # nothing below reads the start-of-step soc_sc
+            soc = soc_sc - (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
+            if 0.0 > soc:
+                soc = 0.0
+            soc_sc = cap_sc if cap_sc < soc else soc
 
-        p_v = pow_v if pow_v < target else target
-        if neg_pow_v > p_v:
-            p_v = neg_pow_v
-        hi = prev_v + q
-        if hi < p_v:
-            p_v = hi
-        lo = prev_v - q
-        if lo > p_v:
-            p_v = lo
-        if p_v > 0.0:
-            u = soc_v / step_kwh * eff_v
-            if q_inf:  # the contract's need, for p_v > 0
-                need = p_v
-            else:
-                k = int(p_v // q)
-                need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
-            if need > u:
-                if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and fills:
-                    # Empty and at rest: this step ends with p_v = 0.0 and
-                    # soc_v as it is, and the run after it is filled in numpy.
-                    synced = (differs is not None and out[1:, i].tobytes()
-                              == np.array((0.0, soc_sc, soc_v)).tobytes())
-                    w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
-                    resume = _fill_battery_empty(load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
-                    if synced:
-                        k = differs.find(1, i + 1)
-                        if k < 0:
-                            break
-                        resume = max(resume, k)
-                    if resume > i + 1:
-                        deque(islice(steps, resume - i - 1), maxlen=0)
-                    soc_sc, soc_v, prev_v = (
-                        w_soc_sc[resume - 1], w_soc_v[resume - 1], w_v[resume - 1])
-                    continue
-                p_v = _sustainable_power(u, q)
-                if lo > p_v:
-                    p_v = lo
+            p_v = pow_v if pow_v < target else target
+            if neg_pow_v > p_v:
+                p_v = neg_pow_v
+            hi = prev_v + q
+            if hi < p_v:
+                p_v = hi
+            lo = prev_v - q
+            if lo > p_v:
+                p_v = lo
+            if p_v > 0.0:
+                u = soc_v / step_kwh * eff_v
+                if q_inf:  # the contract's need, for p_v > 0
+                    need = p_v
+                else:
+                    k = int(p_v // q)
+                    need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
+                if need > u:
+                    if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and fills:
+                        # Empty and at rest: this step ends with p_v = 0.0 and
+                        # soc_v as it is, and the run after it is filled in numpy.
+                        synced = (differs is not None and out[1:, i].tobytes()
+                                  == np.array((0.0, soc_sc, soc_v)).tobytes())
+                        w_sc[i], w_v[i], w_soc_sc[i], w_soc_v[i] = p_sc, 0.0, soc_sc, soc_v
+                        end = _fill_battery_empty(load, mode, rth_kw, out, i + 1, soc_sc, soc_v)
+                        if synced:
+                            k = differs.find(1, i + 1)
+                            end = n if k < 0 else max(end, k)
+                        i = end
+                        break
+                    p_v = _sustainable_power(u, q)
+                    if lo > p_v:
+                        p_v = lo
 
-        soc = soc_v - (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
-        if 0.0 > soc:
-            soc = 0.0
-        soc_v = cap_v if cap_v < soc else soc
+            soc = soc_v - (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
+            if 0.0 > soc:
+                soc = 0.0
+            soc_v = cap_v if cap_v < soc else soc
 
-        w_sc[i] = p_sc
-        w_v[i] = p_v
-        w_soc_sc[i] = soc_sc
-        w_soc_v[i] = soc_v
-        if p_v == prev_v and same[i + 1] and same[i] and p_sc == w_sc[i - 1]:
-            # this step repeats the one before, and so may the steps after it
-            resume = _fill_repeats(load, mode, same, out, i + 1, dev, step_kwh, q, thr_kw, rth_kw)
-            if resume > i + 1:
-                deque(islice(steps, resume - i - 1), maxlen=0)
-                soc_sc, soc_v = w_soc_sc[resume - 1], w_soc_v[resume - 1]
-        prev_v = p_v
-    return rth, flag_sc, engaged
+            w_sc[i] = p_sc
+            w_v[i] = p_v
+            w_soc_sc[i] = soc_sc
+            w_soc_v[i] = soc_v
+            if p_v == prev_v and same[i + 1] and same[i] and p_sc == w_sc[i - 1]:
+                # this step repeats the one before, and so may the steps after it
+                i = _fill_repeats(load, mode, same, out, i + 1, dev, step_kwh, q, thr_kw, rth_kw)
+                break
+            prev_v = p_v
+        else:
+            break
+    return flag_sc, engaged
 
 
 def _summarize(
@@ -788,9 +786,10 @@ def threshold_sweep(
     rows, prev_thr_kw, prev_rth = [], None, None
     for thr_cfg in configs:
         thr = thr_cfg.sc_threshold  # a float, as _run reads it
-        rth = _recharge_threshold(thr_cfg, base).hex()  # tells -0.0 from 0.0
-        engaged = _run(norm, thr_cfg, dev, load, steep, base, out,
-                       prev_thr_kw if rth == prev_rth else None)[2]
+        thr_cfg = replace(thr_cfg, recharge_threshold=_recharge_threshold(thr_cfg, base))
+        rth = thr_cfg.recharge_threshold.hex()  # tells -0.0 from 0.0
+        engaged = _run(norm, thr_cfg, dev, load, steep, out,
+                       prev_thr_kw if rth == prev_rth else None)[1]
         rows.append((thr, _summarize(load, engaged, out, norm.base_power_kw)[1]))
         prev_thr_kw, prev_rth = thr * norm.base_power_kw, rth
     return rows

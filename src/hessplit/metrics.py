@@ -8,6 +8,7 @@ level below the peak region, and peak statistics count excursions above it.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ def load_factor(norm: NormalizedProfile) -> float:
     return float(norm.pu.mean())
 
 
+def check_integer(value, name: str) -> None:
+    """Reject a ``value`` that is not an integer; a bool is not one, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def base_load_estimate(
     norm: NormalizedProfile,
     *,
@@ -89,6 +96,7 @@ def base_load_estimate(
     estimate degenerates to 1.0 and a :class:`DegenerateBaseLoadWarning`
     is emitted.
     """
+    check_integer(bins, "bins")
     if bins < 10:
         raise InvalidConfigError(f"base-load histogram needs >= 10 bins, got {bins}")
     if norm.n_samples < bins:

@@ -106,8 +106,8 @@ def analyze_profile(
         symmetry=symmetry,
         classification=classification,
         config={
-            "bins": bins,
-            "derivative_bins": derivative_bins,
+            "bins": int(bins),  # a numpy integer is no JSON number
+            "derivative_bins": int(derivative_bins),
             "tail_level": tail_level,
             "hint": hint.value if hint is not None else None,
             "rules": asdict(rules),

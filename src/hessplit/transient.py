@@ -16,7 +16,7 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EmptyValuesError, InvalidConfigError, NotSymmetricHistogramError
-from .metrics import NormalizedProfile
+from .metrics import NormalizedProfile, check_integer
 from .profiles import freeze_arrays, write_csv
 
 #: Default bin count for load-value histograms.
@@ -98,7 +98,8 @@ class Histogram:
 
 
 def check_bins(bins: int) -> None:
-    """Reject a bin count outside ``[2, MAX_BINS]``."""
+    """Reject a bin count that is not an integer in ``[2, MAX_BINS]``."""
+    check_integer(bins, "bins")
     if bins < 2:
         raise InvalidConfigError(f"need at least 2 bins, got {bins}")
     if bins > MAX_BINS:

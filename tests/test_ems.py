@@ -955,18 +955,19 @@ def test_signed_zero_loads_are_not_repeats():
 
 
 def _loop_passes(fn) -> int:
-    """Line events on the header of ``_run``'s step loop while ``fn`` runs.
+    """Line events on the first line of ``_run``'s step loop body while ``fn`` runs.
 
-    Each run gives one per simulated step, plus one for the loop's end.
+    That is one per simulated step.
     """
     lines, first = inspect.getsourcelines(ems._run)
-    header = first + next(k for k, line in enumerate(lines)
-                          if line.strip().startswith("for i, (p_load, m) in steps"))
+    header = next(k for k, line in enumerate(lines)
+                  if line.strip().startswith("for i, (p_load, m) in enumerate("))
+    body = first + header + 1
     count = 0
 
     def local(frame, event, arg):
         nonlocal count
-        count += event == "line" and frame.f_lineno == header
+        count += event == "line" and frame.f_lineno == body
         return local
 
     sys.settrace(lambda frame, event, arg: local if frame.f_code is ems._run.__code__ else None)
@@ -987,7 +988,7 @@ def test_short_battery_empty_runs_are_filled(rng):
     cfg = EmsConfig(recharge_threshold=0.2, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
     dev = DeviceParams(vrfb_initial_soc_fraction=0.0, sc_initial_soc_fraction=0.0,
                        sc_recharge_power_kw=0.0)
-    assert _loop_passes(lambda: dispatch(norm, cfg, dev)) == 2 * runs.size + 1
+    assert _loop_passes(lambda: dispatch(norm, cfg, dev)) == 2 * runs.size
     res = dispatch(norm, cfg, dev)
     want = naive_dispatch(norm.pu.tolist(), 1.0, norm.base_power_kw, cfg, dev)
     got = (res.p_sc_kw, res.p_vrfb_kw, res.p_grid_kw, res.soc_sc_kwh, res.soc_vrfb_kwh)
@@ -999,7 +1000,7 @@ def test_machine_day_runs_mostly_in_windows(monkeypatch):
     # a machine switches between a few load levels, so nearly every step
     # repeats the one before: of 86,400 steps, 1,315 reach the scalar loop
     norm = normalize(gen_machine(MachineSpec(days=1))[0])
-    assert _loop_passes(lambda: dispatch(norm)) == 1316
+    assert _loop_passes(lambda: dispatch(norm)) == 1315
     res = dispatch(norm)
     monkeypatch.setattr(ems, "_fill_repeats", lambda load, mode, same, out, i, *_: i)
     scalar = dispatch(norm)  # every step in the loop
@@ -1007,11 +1008,32 @@ def test_machine_day_runs_mostly_in_windows(monkeypatch):
         assert getattr(res, name).tobytes() == getattr(scalar, name).tobytes()
 
 
+def test_step_iterator_yields_only_simulated_steps(monkeypatch):
+    # a jump restarts the step iterator at the step it resumes at instead of
+    # draining the steps in between, so it yields one item per simulated step
+    norm = normalize(gen_machine(MachineSpec(days=1))[0])
+    yielded = 0
+
+    def counting_zip(*iterables):
+        nonlocal yielded
+        for item in zip(*iterables):
+            yielded += 1
+            yield item
+
+    monkeypatch.setattr(ems, "zip", counting_zip, raising=False)
+    dispatch(norm)
+    assert yielded == 1315  # the steps test_machine_day_runs_mostly_in_windows counts
+    yielded = 0
+    threshold_sweep(norm, [0.5, 0.6, 0.7, 0.8, 0.9])
+    # 6,526 simulated steps, and the 4 pairs the ascending check zips
+    assert yielded == 6530
+
+
 def test_int_json_config_takes_the_windows():
     # the int 5 of a JSON config is stored as 5.0, so its run is 5.0's
     norm = normalize(gen_machine(MachineSpec(days=1))[0])
     dev = DeviceParams(**json.loads('{"vrfb_power_kw": 5}'))
-    assert _loop_passes(lambda: dispatch(norm, EmsConfig(), dev)) == 1316
+    assert _loop_passes(lambda: dispatch(norm, EmsConfig(), dev)) == 1315
 
 
 def test_sweep_point_starts_at_its_first_differing_step():
@@ -1023,11 +1045,11 @@ def test_sweep_point_starts_at_its_first_differing_step():
     norm = _norm(pu)
     cfg = EmsConfig(recharge_threshold=0.0, sc_engage_mode=EngageMode.THRESHOLD_ONLY)
     first = _loop_passes(lambda: threshold_sweep(norm, [0.5], cfg))
-    assert first == pu.size + 1
+    assert first == pu.size
     starts = [int(np.argmax(norm.pu * 10.0 >= thr * 10.0)) for thr in (0.5, 0.6)]
     assert starts == [2002, 2003]
     sweep = _loop_passes(lambda: threshold_sweep(norm, [0.5, 0.6, 0.7], cfg))
-    assert sweep == first + sum(pu.size - start + 1 for start in starts)
+    assert sweep == first + sum(pu.size - start for start in starts)
 
 
 def test_sweep_point_resyncs_where_both_batteries_are_empty():
@@ -1046,7 +1068,7 @@ def test_sweep_point_resyncs_where_both_batteries_are_empty():
     first = _loop_passes(lambda: threshold_sweep(norm, [0.5], cfg, dev))
     second = _loop_passes(lambda: threshold_sweep(norm, [0.5, 0.6], cfg, dev)) - first
     assert alone > 3 * 300  # the recharge steps at least
-    assert second <= 3 * 20 + 1  # at most the peaks
+    assert second <= 3 * 20  # at most the peaks
     assert _sweep_traces(norm, [0.5, 0.6], cfg, dev) == _dispatch_traces(
         norm, [0.5, 0.6], cfg, dev)
 

@@ -101,6 +101,10 @@ def test_base_load_parameter_validation():
         base_load_estimate(norm, peak_band=0.0)
     with pytest.raises(InvalidConfigError):
         base_load_estimate(normalize(_profile([1.0, 2.0])), bins=100)
+    for bins in (10.5, 20.0, "20", True):
+        with pytest.raises(InvalidConfigError, match="bins must be an integer"):
+            base_load_estimate(norm, bins=bins)
+    assert base_load_estimate(norm, bins=np.int64(20)) == base_load_estimate(norm, bins=20)
 
 
 def test_peak_stats_example():

@@ -83,6 +83,9 @@ def test_config_echo(busy_profile):
     assert rep.config["rules"]["min_symmetry_index"] == 0.8
     assert rep.load_hist.n_bins == 50
     assert rep.symmetry.tail_level == 0.4
+    numpy_bins = analyze_profile(busy_profile, bins=np.int64(50), derivative_bins=np.int64(31))
+    assert type(numpy_bins.config["bins"]) is type(numpy_bins.config["derivative_bins"]) is int
+    write_report_json(numpy_bins, io.StringIO())
 
 
 def test_hint_falls_back_to_profile_hint(rng, make_profile):

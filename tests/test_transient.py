@@ -98,6 +98,10 @@ def test_histogram_rejects_empty_and_tiny_bins():
         histogram([])
     with pytest.raises(InvalidConfigError):
         histogram([1.0], bins=1)
+    for bins in (2.5, 3.0, "3", True, None):
+        with pytest.raises(InvalidConfigError, match="bins must be an integer"):
+            histogram([1.0], bins=bins)
+    assert histogram([1.0], bins=np.int64(3)).n_bins == 3
 
 
 def test_histogram_bins_are_bounded():
