@@ -9,127 +9,64 @@ The package answers two questions about an electrical load profile:
 2. What would a simple threshold split actually do? — step-by-step
    dispatch simulation with state-of-charge, ramp, and recharge rules,
    threshold sweeps, and outage-coverage checks.
+
+Each public name loads on first use (PEP 562), so a CLI command imports
+only the modules it runs: ``dispatch`` loads neither the report (nor its
+``hashlib``) nor the generators. Start-up is a large share of a short run.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .classify import ClassificationReport, Relevance, RuleThresholds, classify
-from .ems import (
-    DeviceParams,
-    DispatchResult,
-    EmsConfig,
-    EngageMode,
-    FlagSeries,
-    Limiting,
-    UpsScenario,
-    UtilizationStats,
-    compute_flags,
-    dispatch,
-    make_ups_scenario,
-    threshold_sweep,
-    write_dispatch_csv,
-    write_sweep_csv,
-)
-from .errors import HessplitError
-from .metrics import (
-    NormalizedProfile,
-    PeakStats,
-    ProfileMetrics,
-    base_load_estimate,
-    compute_metrics,
-    load_factor,
-    normalize,
-    peak_stats,
-)
-from .profiles import (
-    CatalogEntry,
-    Category,
-    LoadProfile,
-    ResolutionVerdict,
-    load_catalog,
-    parse_profile,
-    parse_profile_file,
-    read_catalog,
-    resample,
-    validate_resolution,
-    write_profile_csv,
-)
-from .report import AnalysisReport, analyze_profile, read_report_json, write_report_json
-from .synth import (
-    EvParkSpec,
-    MachineSpec,
-    MunicipalSpec,
-    gen_ev_park,
-    gen_machine,
-    gen_municipal,
-    generate,
-)
-from .transient import (
-    DerivativeSeries,
-    Histogram,
-    SymmetryReport,
-    derivative,
-    histogram,
-    symmetry_report,
-    write_histogram_csv,
-)
+#: Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "classify": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],
+    "ems": [
+        "DeviceParams", "DispatchResult", "EmsConfig", "EngageMode", "FlagSeries", "Limiting",
+        "UpsScenario", "UtilizationStats", "compute_flags", "dispatch", "make_ups_scenario",
+        "threshold_sweep", "write_dispatch_csv", "write_sweep_csv",
+    ],
+    "errors": ["HessplitError"],
+    "metrics": [
+        "NormalizedProfile", "PeakStats", "ProfileMetrics", "base_load_estimate",
+        "compute_metrics", "load_factor", "normalize", "peak_stats",
+    ],
+    "profiles": [
+        "CatalogEntry", "Category", "LoadProfile", "ResolutionVerdict", "load_catalog",
+        "parse_profile", "parse_profile_file", "read_catalog", "resample",
+        "validate_resolution", "write_profile_csv",
+    ],
+    "report": ["AnalysisReport", "analyze_profile", "read_report_json", "write_report_json"],
+    "synth": [
+        "EvParkSpec", "MachineSpec", "MunicipalSpec", "gen_ev_park", "gen_machine",
+        "gen_municipal", "generate",
+    ],
+    "transient": [
+        "DerivativeSeries", "Histogram", "SymmetryReport", "derivative", "histogram",
+        "symmetry_report", "write_histogram_csv",
+    ],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "CatalogEntry",
-    "Category",
-    "ClassificationReport",
-    "DerivativeSeries",
-    "DeviceParams",
-    "DispatchResult",
-    "EmsConfig",
-    "EngageMode",
-    "EvParkSpec",
-    "FlagSeries",
-    "HessplitError",
-    "Histogram",
-    "Limiting",
-    "LoadProfile",
-    "MachineSpec",
-    "MunicipalSpec",
-    "NormalizedProfile",
-    "PeakStats",
-    "ProfileMetrics",
-    "Relevance",
-    "ResolutionVerdict",
-    "RuleThresholds",
-    "SymmetryReport",
-    "UpsScenario",
-    "UtilizationStats",
-    "analyze_profile",
-    "base_load_estimate",
-    "classify",
-    "compute_flags",
-    "compute_metrics",
-    "derivative",
-    "dispatch",
-    "gen_ev_park",
-    "gen_machine",
-    "gen_municipal",
-    "generate",
-    "histogram",
-    "load_catalog",
-    "load_factor",
-    "make_ups_scenario",
-    "normalize",
-    "parse_profile",
-    "parse_profile_file",
-    "peak_stats",
-    "read_catalog",
-    "read_report_json",
-    "resample",
-    "symmetry_report",
-    "threshold_sweep",
-    "validate_resolution",
-    "write_dispatch_csv",
-    "write_histogram_csv",
-    "write_profile_csv",
-    "write_report_json",
-    "write_sweep_csv",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return globals()[name]
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+# ``classify`` names a submodule and a function. A package gets a submodule
+# as its attribute when the submodule first loads, so after ``report`` loads
+# ``hessplit.classify`` a lazy ``from hessplit import classify`` would return
+# the module. Bound here, after that load, the name stays the function.
+from .classify import classify  # noqa: E402

@@ -42,9 +42,7 @@ from .ems import (
 )
 from .errors import HessplitError, InvalidConfigError, InvalidRangeError
 from .metrics import normalize
-from .profiles import load_catalog, parse_profile_file, write_profile_csv
-from .report import analyze_profile, report_to_dict, write_json
-from .synth import EvParkSpec, MachineSpec, MunicipalSpec, generate
+from .profiles import load_catalog, parse_profile_file, write_json, write_profile_csv
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
 
 CONFIG_ENV_VAR = "HESSPLIT_CONFIG"
@@ -118,6 +116,8 @@ def _warn(message, *_) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .report import analyze_profile, report_to_dict  # no other command loads report
+
     path = Path(args.input)
     if args.manifest or path.suffix.lower() == ".json":
         profiles = load_catalog(path, clamp_negative=args.clamp_negative)
@@ -158,10 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     thresholds = _parse_range(args.range)
     profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
     rows = threshold_sweep(normalize(profile), thresholds, cfg, dev)
-    if args.out:
-        write_sweep_csv(rows, args.out)
-    else:
-        write_sweep_csv(rows, sys.stdout)
+    write_sweep_csv(rows, args.out or sys.stdout)
     return 0
 
 
@@ -197,6 +194,8 @@ def _cmd_ups(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import EvParkSpec, MachineSpec, MunicipalSpec, generate  # nor synth
+
     common = {"days": args.days, "dt": args.dt, "seed": args.seed}
     if args.scale_kw is not None:
         scale = {"scale_kw": args.scale_kw}

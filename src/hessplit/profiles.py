@@ -469,6 +469,19 @@ def write_csv(
         target.write(block)
 
 
+def write_json(payload, target: Union[str, Path, IO]) -> None:
+    """Write ``payload`` as indented JSON and a newline to a path or an open file.
+
+    The JSON is strict: a non-finite float raises ``ValueError`` instead of
+    turning into ``Infinity`` or ``NaN``, which are not JSON.
+    """
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text, encoding="utf-8")
+    else:
+        target.write(text)
+
+
 class Category(Enum):
     """Application categories for storage deployment."""
 

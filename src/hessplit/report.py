@@ -29,6 +29,7 @@ from .profiles import (
     ResolutionVerdict,
     profile_csv_blocks,
     validate_resolution,
+    write_json,
 )
 from .transient import (
     DERIVATIVE_BINS,
@@ -189,19 +190,6 @@ def report_from_dict(d: dict) -> AnalysisReport:
         ),
         config=d["config"],
     )
-
-
-def write_json(payload, target: Union[str, Path, IO]) -> None:
-    """Write ``payload`` as indented JSON and a newline to a path or an open file.
-
-    The JSON is strict: a non-finite float raises ``ValueError`` instead of
-    turning into ``Infinity`` or ``NaN``, which are not JSON.
-    """
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
 
 
 def write_report_json(report: AnalysisReport, target: Union[str, Path, IO]) -> None:

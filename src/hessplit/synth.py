@@ -25,6 +25,7 @@ check that every sample is finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,9 +46,11 @@ def _n_samples(days: int, dt: float) -> int:
     return int(round(days * SECONDS_PER_DAY / dt))
 
 
-def _check_common(days: int, dt: float, name: str) -> None:
+def _check_common(days: int, dt: float, seed: int, name: str) -> None:
     if not (isinstance(days, int) and days >= 1):
         raise InvalidSpecError(f"{name}: days must be an integer >= 1, got {days!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidSpecError(f"{name}: seed must be an integer >= 0, got {seed!r}")
     if not 0.0 < dt <= SC_MAX_DT_S:
         raise InvalidSpecError(
             f"{name}: dt must be in (0, {SC_MAX_DT_S:g}] s so outputs stay "
@@ -85,7 +88,7 @@ class MunicipalSpec:
     scale_kw: float = 100.0
 
     def __post_init__(self):
-        _check_common(self.days, self.dt, "municipal")
+        _check_common(self.days, self.dt, self.seed, "municipal")
         if not 0.0 < self.base_pu < self.peak_pu <= 1.0:
             raise InvalidSpecError(
                 f"municipal: need 0 < base_pu < peak_pu <= 1, got {self.base_pu}/{self.peak_pu}"
@@ -118,7 +121,7 @@ def gen_municipal(spec: MunicipalSpec) -> tuple[LoadProfile, list[dict]]:
     occupied = np.zeros(n, dtype=bool)
     for _ in range(n_events):
         width = int(round(rng.uniform(spec.event_width_s_lo, spec.event_width_s_hi) / spec.dt))
-        width = max(1, min(width, n - 2))
+        width = max(1, min(width, n - 3))
         # rejection-sample a start so events stay isolated from each other
         for _attempt in range(1000):
             start = int(rng.integers(1, n - width - 1))
@@ -163,7 +166,7 @@ class MachineSpec:
     scale_kw: float = 10.0
 
     def __post_init__(self):
-        _check_common(self.days, self.dt, "machine")
+        _check_common(self.days, self.dt, self.seed, "machine")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise InvalidSpecError(f"machine: duty_cycle must be in [0, 1], got {self.duty_cycle}")
         if not 0.0 < self.on_level <= self.switch_spike_level <= 1.0:
@@ -236,7 +239,7 @@ class EvParkSpec:
     taper_duration_s: float = 600.0
 
     def __post_init__(self):
-        _check_common(self.days, self.dt, "ev_park")
+        _check_common(self.days, self.dt, self.seed, "ev_park")
         if not 0.0 <= self.arrival_rate_per_h < math.inf:
             raise InvalidSpecError("ev_park: arrival_rate_per_h must be finite and >= 0")
         span_h = _n_samples(self.days, self.dt) * self.dt / 3600.0

@@ -783,19 +783,21 @@ def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, fla
     dt=st.floats(2.0, 10.0).map(str) | _FLAG_FLOATS.filter(
         lambda v: v in ("nan", "-inf", "x", "") or not 0.0 < float(v) < 2.0)
     | st.sampled_from(["1e-9", "0.001"]),
+    seed=st.just("0") | st.sampled_from(["-1", "-9223372036854775808", str(10 ** 40), "1.5", "x"]),
 )
-@example(**_OVERFLOWING_SYNTH[0], days="1", dt="2.0")
-@example(**_OVERFLOWING_SYNTH[1], days="1", dt="2.0")
-@example(**_OVERFLOWING_SYNTH[2], days="1", dt="2.0")
-@example(**_OVERFLOWING_SYNTH[3], days="1", dt="2.0")
-@example(**_OVERFLOWING_SYNTH[4], days="1", dt="2.0")
-def test_no_synth_flag_is_an_internal_error(capsys, tmp_path, kind, flags, days, dt):
+@example(**_OVERFLOWING_SYNTH[0], days="1", dt="2.0", seed="0")
+@example(**_OVERFLOWING_SYNTH[1], days="1", dt="2.0", seed="0")
+@example(**_OVERFLOWING_SYNTH[2], days="1", dt="2.0", seed="0")
+@example(**_OVERFLOWING_SYNTH[3], days="1", dt="2.0", seed="0")
+@example(**_OVERFLOWING_SYNTH[4], days="1", dt="2.0", seed="0")
+@example(kind="machine", flags={}, days="1", dt="2.0", seed="-1")  # exit 3 when unchecked
+def test_no_synth_flag_is_an_internal_error(capsys, tmp_path, kind, flags, days, dt, seed):
     if "--arrival-rate" in flags and flags["--arrival-rate"] not in ("x", ""):
         rate = float(flags["--arrival-rate"])
         if 20.0 < rate < 1e9:  # accepted, but one loop turn per session
             flags["--arrival-rate"] = "20"
     code = _exit_code("synth", "--kind", kind, "--out", str(tmp_path / "x.csv"),
-                      "--days", days, "--dt", dt,
+                      "--days", days, "--dt", dt, "--seed", seed,
                       *(x for kv in flags.items() for x in kv))
     event(f"exit {code}")
     assert code in (0, 2), capsys.readouterr().err

@@ -200,6 +200,15 @@ def test_municipal_event_log_matches_signal():
         assert jump_down == pytest.approx(spec.event_height_pu * spec.scale_kw, abs=0.5)
 
 
+@pytest.mark.parametrize("width_s", [86398.0, 1e9])
+def test_municipal_event_wider_than_the_profile_is_capped(width_s):
+    spec = MunicipalSpec(days=1, event_width_s_lo=width_s, event_width_s_hi=width_s)
+    profile, events = gen_municipal(spec)
+    # the widest event that still has a quiet step before and after it
+    assert [e["width_steps"] for e in events] == [profile.n_samples - 3]
+    assert events[0]["start_step"] == 1
+
+
 def test_municipal_events_do_not_overlap():
     _, events = gen_municipal(MunicipalSpec(days=10, events_per_day=2.0))
     spans = sorted((e["start_step"], e["start_step"] + e["width_steps"]) for e in events)
