@@ -27,34 +27,26 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .ems import (
-    DeviceParams,
-    EmsConfig,
-    EngageMode,
-    dispatch,
-    make_ups_scenario,
-    threshold_sweep,
-    write_dispatch_csv,
-    write_sweep_csv,
-)
 from .errors import HessplitError, InvalidConfigError, InvalidRangeError
 from .metrics import normalize
 from .profiles import load_catalog, parse_profile_file, write_json, write_profile_csv
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
 
+if TYPE_CHECKING:
+    from .ems import DeviceParams, EmsConfig
+
 CONFIG_ENV_VAR = "HESSPLIT_CONFIG"
 #: Most thresholds one ``--range`` may name; each is a full dispatch run.
 MAX_RANGE_POINTS = 1000
 
-_EMS_FIELDS = {f.name for f in dataclasses.fields(EmsConfig)}
-_DEV_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
-
 
 def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
     """Split a flat JSON config into the EMS and device parameter sets."""
+    from .ems import DeviceParams, EmsConfig, EngageMode  # analyze and synth never load ems
+
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
@@ -68,6 +60,8 @@ def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
         raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config file {path} must hold a JSON object")
+    ems_fields = {f.name for f in dataclasses.fields(EmsConfig)}
+    dev_fields = {f.name for f in dataclasses.fields(DeviceParams)}
     cfg_kwargs, dev_kwargs = {}, {}
     for key, value in raw.items():
         if key == "sc_engage_mode":
@@ -76,9 +70,9 @@ def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
             except ValueError:
                 modes = [m.value for m in EngageMode]
                 raise InvalidConfigError(f"{key} must be one of {modes}, got {value!r}") from None
-        elif key in _EMS_FIELDS:
+        elif key in ems_fields:
             cfg_kwargs[key] = value
-        elif key in _DEV_FIELDS:
+        elif key in dev_fields:
             dev_kwargs[key] = value
         else:
             raise InvalidConfigError(f"unknown config key {key!r} in {path}")
@@ -140,6 +134,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_dispatch(args: argparse.Namespace) -> int:
+    from .ems import dispatch, write_dispatch_csv
+
     cfg, dev = _load_config(args.config)
     profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
     result = dispatch(normalize(profile), cfg, dev)
@@ -154,6 +150,8 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .ems import threshold_sweep, write_sweep_csv
+
     cfg, dev = _load_config(args.config)
     thresholds = _parse_range(args.range)
     profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
@@ -163,6 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ups(args: argparse.Namespace) -> int:
+    from .ems import make_ups_scenario
+
     _, dev = _load_config(args.config)
     overrides = {}
     for flag, field in [

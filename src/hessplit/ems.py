@@ -224,9 +224,9 @@ class DispatchResult:
     recharging; ``p_grid_kw`` may go negative when the battery must ramp
     down slower than the load drops. SoC traces hold the end-of-step state.
 
-    The arrays are read-only copies of those passed in. :func:`dispatch`
-    passes ``_owned=True`` for arrays it built and holds no other reference
-    to; they are made read-only in place.
+    The arrays are read-only copies of those passed in, or the arrays
+    :func:`dispatch` built, adopted in place (see
+    :func:`~hessplit.profiles.freeze_arrays`).
     """
 
     dt: float

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -42,9 +42,10 @@ class NormalizedProfile:
     dt: float
     base_power_kw: float
     pu: np.ndarray
+    _owned: InitVar[bool] = False  # see freeze_arrays
 
-    def __post_init__(self):
-        freeze_arrays(self, np.float64, "pu")
+    def __post_init__(self, _owned):
+        freeze_arrays(self, np.float64, "pu", copy=not _owned)
         freeze_numbers(self, InvalidProfileError)
 
     @property
@@ -67,7 +68,7 @@ def normalize(profile: LoadProfile) -> NormalizedProfile:
         )
     return NormalizedProfile(
         site_id=profile.site_id, dt=profile.dt, base_power_kw=p_max,
-        pu=profile.samples / p_max,
+        pu=profile.samples / p_max, _owned=True,
     )
 
 
@@ -149,13 +150,15 @@ def peak_stats(norm: NormalizedProfile, level: float) -> PeakStats:
     ends = np.flatnonzero(padded == -1)
     lengths = ends - starts
     n = int(lengths.size)
+    excess = norm.pu - level
+    np.maximum(excess, 0.0, out=excess)
     return PeakStats(
         level=level,
         peak_count=n,
         mean_duration_s=float(lengths.mean() * norm.dt) if n else 0.0,
         max_duration_s=float(lengths.max() * norm.dt) if n else 0.0,
         time_above_fraction=float(above.mean()),
-        energy_above_pu_h=float(np.maximum(norm.pu - level, 0.0).sum() * norm.dt / 3600.0),
+        energy_above_pu_h=float(excess.sum() * norm.dt / 3600.0),
     )
 
 

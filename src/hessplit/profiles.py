@@ -39,7 +39,7 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -70,8 +70,15 @@ CSV_HEADER = ("timestamp", "power_kw")
 def freeze_arrays(obj, dtype, *names: str, copy: bool = True) -> None:
     """Replace each named field of a frozen dataclass with a read-only copy.
 
-    With ``copy=False`` an array that already has ``dtype`` is made read-only
-    in place, for arrays that nothing else holds.
+    With ``copy=False`` an array that already has ``dtype`` is adopted: made
+    read-only in place. The array holders (:class:`LoadProfile`,
+    ``NormalizedProfile``, ``DerivativeSeries``, ``DispatchResult``) pass
+    ``copy=not _owned``, and only library code sets their private ``_owned``
+    InitVar: the code that has just built the arrays and keeps no other
+    reference to them (both parse paths, ``normalize``, ``derivative``,
+    ``dispatch``). Nothing can then write to an adopted array, and a long
+    series is held once instead of twice. An array a caller passes in is
+    always copied, since the caller may still change it.
     """
     for name in names:
         arr = getattr(obj, name)
@@ -519,9 +526,10 @@ class LoadProfile:
     dt: float
     samples: np.ndarray
     category_hint: Category = Category.UNKNOWN
+    _owned: InitVar[bool] = False  # see freeze_arrays
 
-    def __post_init__(self):
-        freeze_arrays(self, np.float64, "samples")
+    def __post_init__(self, _owned):
+        freeze_arrays(self, np.float64, "samples", copy=not _owned)
         freeze_numbers(self, InvalidProfileError, self._check)
 
     def _check(self):
@@ -699,7 +707,7 @@ def parse_profile(
             parsed = _parse_rows(lines, clamp_negative)
     t0, dt, samples = parsed
     return LoadProfile(
-        site_id=site_id, category_hint=category_hint, t0=t0, dt=dt, samples=samples,
+        site_id=site_id, category_hint=category_hint, t0=t0, dt=dt, samples=samples, _owned=True,
     )
 
 
@@ -742,7 +750,8 @@ def _parse_loadtxt(
         p = np.where(p < 0.0, 0.0, p)
     elif (p < 0.0).any():
         return None
-    return float(t[0]), float(dt), p
+    # a contiguous copy of the column: the (n, 2) table is freed on return
+    return float(t[0]), float(dt), np.ascontiguousarray(p)
 
 
 def _parse_rows(

@@ -79,6 +79,8 @@ def analyze_profile(
     # both are recorded in the config, also where the transient analysis does not run
     check_bins(derivative_bins)
     check_tail_level(tail_level)
+    # hashed first, so the timestamps and text blocks are gone before pu exists
+    input_sha256 = _csv_sha256(profile)
     verdict = validate_resolution(profile)
     norm = normalize(profile)
     metrics = _compute_metrics(profile, norm, bins)
@@ -88,8 +90,8 @@ def analyze_profile(
     symmetry = None
     classification = None
     if verdict.sc_suitable:
-        deriv = derivative(norm)
-        derivative_hist = histogram(deriv.normalized, bins=derivative_bins, symmetric=True)
+        normalized = derivative(norm).normalized  # raw is dropped before the histogram
+        derivative_hist = histogram(normalized, bins=derivative_bins, symmetric=True)
         symmetry = symmetry_report(derivative_hist, tail_level)
         effective_hint = hint
         if effective_hint is None and profile.category_hint is not Category.UNKNOWN:
@@ -99,7 +101,7 @@ def analyze_profile(
     return AnalysisReport(
         site_id=profile.site_id,
         tool_version=__version__,
-        input_sha256=_csv_sha256(profile),
+        input_sha256=input_sha256,
         resolution=verdict,
         metrics=metrics,
         load_hist=load_hist,

@@ -95,8 +95,8 @@ class MunicipalSpec:
             )
         if not (self.noise_sigma >= 0.0 and self.event_height_pu >= 0.0):
             raise InvalidSpecError("municipal: noise_sigma and event_height_pu must be >= 0")
-        if not 0.0 < self.event_width_s_lo <= self.event_width_s_hi:
-            raise InvalidSpecError("municipal: event widths must satisfy 0 < lo <= hi")
+        if not 0.0 < self.event_width_s_lo <= self.event_width_s_hi < math.inf:
+            raise InvalidSpecError("municipal: event widths must satisfy 0 < lo <= hi < inf")
         if not self.scale_kw > 0.0:
             raise InvalidSpecError("municipal: scale_kw must be > 0")
 
@@ -176,8 +176,8 @@ class MachineSpec:
             )
         if not 0.0 <= self.spike_duration_s < math.inf:
             raise InvalidSpecError("machine: spike_duration_s must be finite and >= 0")
-        if not 0.0 < self.cycle_s_lo <= self.cycle_s_hi:
-            raise InvalidSpecError("machine: cycle lengths must satisfy 0 < lo <= hi")
+        if not 0.0 < self.cycle_s_lo <= self.cycle_s_hi < math.inf:
+            raise InvalidSpecError("machine: cycle lengths must satisfy 0 < lo <= hi < inf")
         if not self.scale_kw > 0.0:
             raise InvalidSpecError("machine: scale_kw must be > 0")
 
@@ -250,8 +250,8 @@ class EvParkSpec:
             )
         if not self.charge_power_kw > 0.0:
             raise InvalidSpecError("ev_park: charge_power_kw must be > 0")
-        if not 0.0 < self.constant_s_lo <= self.constant_s_hi:
-            raise InvalidSpecError("ev_park: constant phase bounds must satisfy 0 < lo <= hi")
+        if not 0.0 < self.constant_s_lo <= self.constant_s_hi < math.inf:
+            raise InvalidSpecError("ev_park: constant phase bounds must satisfy 0 < lo <= hi < inf")
         if not 0.0 <= self.taper_duration_s < math.inf:
             raise InvalidSpecError("ev_park: taper_duration_s must be finite and >= 0")
         # a taper longer than the longest profile never ends inside one

@@ -9,7 +9,7 @@ up/down switching (machines, municipal feeders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
@@ -43,9 +43,10 @@ class DerivativeSeries:
     raw: np.ndarray
     normalized: np.ndarray
     dt: float
+    _owned: InitVar[bool] = False  # see freeze_arrays
 
-    def __post_init__(self):
-        freeze_arrays(self, np.float64, "raw", "normalized")
+    def __post_init__(self, _owned):
+        freeze_arrays(self, np.float64, "raw", "normalized", copy=not _owned)
 
     @property
     def n_steps(self) -> int:
@@ -59,10 +60,16 @@ def derivative(norm: NormalizedProfile) -> DerivativeSeries:
     the dispatcher reacts to the upcoming step; centered schemes would smear
     exactly the switch-on spikes this analysis exists to find.
     """
-    raw = np.diff(norm.pu) / norm.dt
-    peak = np.abs(raw).max() if raw.size else 0.0
+    raw = np.diff(norm.pu)
+    raw /= norm.dt
+    peak = _abs_max(raw) if raw.size else 0.0
     normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
-    return DerivativeSeries(raw=raw, normalized=normalized, dt=norm.dt)
+    return DerivativeSeries(raw=raw, normalized=normalized, dt=norm.dt, _owned=True)
+
+
+def _abs_max(arr: np.ndarray):
+    """``np.abs(arr).max()`` without the copy: negation is exact, and NaN gives NaN."""
+    return abs(max(arr.max(), -arr.min()))  # abs clears a NaN's sign bit, as np.abs does
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +135,7 @@ def histogram(
     if symmetric:
         if bins % 2 == 0:
             bins += 1
-        m = float(np.abs(arr).max())
+        m = float(_abs_max(arr))
         if m == 0.0:
             m = 1.0
         grid = np.linspace(-m, m, bins + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -10,11 +11,17 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from hessplit import EngageMode, LoadProfile, parse_profile_file, write_profile_csv
-from hessplit.cli import _DEV_FIELDS, _EMS_FIELDS, CONFIG_ENV_VAR, _parse_range, main
+from hessplit import (
+    DeviceParams, EmsConfig, EngageMode, LoadProfile, parse_profile_file, write_profile_csv,
+)
+from hessplit.cli import CONFIG_ENV_VAR, _parse_range, main
 from hessplit.errors import InvalidRangeError
 from hessplit.profiles import _parse_loadtxt
 from hessplit.transient import MAX_BINS
+
+
+_EMS_FIELDS = {f.name for f in dataclasses.fields(EmsConfig)}
+_DEV_FIELDS = {f.name for f in dataclasses.fields(DeviceParams)}
 
 
 @pytest.fixture(autouse=True)

@@ -30,9 +30,14 @@ from hessplit import (
     dispatch,
     gen_machine,
     gen_municipal,
+    generate,
     make_ups_scenario,
+    analyze_profile,
+    derivative,
     normalize,
+    parse_profile_file,
     threshold_sweep,
+    write_profile_csv,
 )
 from hessplit import ems
 from hessplit.ems import (
@@ -50,6 +55,7 @@ from hessplit.errors import (
     WindowOutOfRangeError,
 )
 from hessplit.metrics import NormalizedProfile
+from hessplit.transient import DerivativeSeries
 from oracle import (
     _largest_sustainable,
     _wind_down_sum,
@@ -593,6 +599,44 @@ def test_dispatch_memory_per_step_is_bounded():
     # flags). Per-step Python floats kept in lists took over 200.
     norm = normalize(gen_machine(MachineSpec(days=1))[0])
     assert _traced_peak(lambda: dispatch(norm)) < 120 * norm.n_samples
+
+
+@pytest.fixture(scope="module", params=[MunicipalSpec(days=1), MachineSpec(days=1)],
+                ids=["municipal", "machine"])
+def day_csv(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "day.csv"
+    write_profile_csv(generate(request.param)[0], path)
+    return path
+
+
+def test_parse_memory_per_sample_is_bounded(day_csv):
+    # about 24 bytes per sample: the loadtxt table, then the contiguous power
+    # column the profile adopts. Holding the table through the profile's
+    # checks and copying the column again took 40.
+    assert _traced_peak(lambda: parse_profile_file(day_csv)) < 32 * 86_400
+
+
+def test_analyze_memory_per_sample_is_bounded(day_csv):
+    # about 34 bytes per sample above the input: pu and the derivative, each
+    # adopted where it is built, with the input hash run before either
+    # exists. Copying each and hashing last took 55-58.
+    profile = parse_profile_file(day_csv)
+    assert _traced_peak(lambda: analyze_profile(profile)) < 44 * profile.n_samples
+
+
+def test_array_holders_copy_a_callers_arrays():
+    mine = np.array([1.0, 3.0, 2.0, 4.0])
+    held = [
+        LoadProfile(site_id="s", t0=0.0, dt=1.0, samples=mine).samples,
+        NormalizedProfile(site_id="s", dt=1.0, base_power_kw=4.0, pu=mine).pu,
+        DerivativeSeries(raw=mine, normalized=mine, dt=1.0).raw,
+        DerivativeSeries(raw=mine, normalized=mine, dt=1.0).normalized,
+    ]
+    mine[:] = 0.0
+    for arr in held:
+        assert arr.tobytes() == np.array([1.0, 3.0, 2.0, 4.0]).tobytes()
+        assert not arr.flags.writeable
+    assert mine.flags.writeable  # the caller's array is left as it was
 
 
 def test_sweep_memory_does_not_grow_with_thresholds():

@@ -118,7 +118,7 @@ _NOT_RUN = ["hessplit.report", "hessplit.synth", "hashlib"]
     (["dispatch", "{csv}", "--trace", "{out}.csv", "--out", "{out}.json"], _NOT_RUN),
     (["sweep", "{csv}", "--range", "0.5:0.9:0.1", "--out", "{out}.csv"], _NOT_RUN),
     (["ups", "{csv}", "--start", "600", "--duration", "60", "--out", "{out}.json"], _NOT_RUN),
-    (["analyze", "{csv}", "--out", "{out}.json"], ["hessplit.synth"]),
+    (["analyze", "{csv}", "--out", "{out}.json"], ["hessplit.ems", "hessplit.synth"]),
 ], ids=["dispatch", "sweep", "ups", "analyze"])
 def test_command_loads_only_what_it_runs(machine_csv, argv, unloaded):
     argv = [a.format(csv=machine_csv, out=machine_csv.with_name(argv[0])) for a in argv]

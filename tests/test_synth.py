@@ -95,6 +95,9 @@ def test_spec_rejects_nan(make):
     lambda: EvParkSpec(arrival_rate_per_h=math.inf),  # zero gaps: would never end
     lambda: EvParkSpec(taper_duration_s=math.inf),
     lambda: MachineSpec(spike_duration_s=math.inf),
+    lambda: MunicipalSpec(event_width_s_hi=math.inf),  # rng.uniform would overflow
+    lambda: MachineSpec(cycle_s_hi=math.inf),
+    lambda: EvParkSpec(constant_s_hi=math.inf),
 ])
 def test_spec_rejects_unbounded_durations_and_rates(make):
     with pytest.raises(InvalidSpecError):

@@ -44,6 +44,20 @@ def test_derivative_of_constant_is_zero_not_nan():
     assert np.array_equal(d.normalized, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("samples", [
+    np.full(50, 7.5), np.linspace(10.0, 1.0, 40), [4.0, 3.0, 3.0, 0.0, 0.0],
+], ids=["constant", "falling", "falling-steps"])
+def test_derivative_equals_its_abs_max_form(samples):
+    norm = normalize(LoadProfile(site_id="d", t0=0.0, dt=0.5, samples=samples))
+    d = derivative(norm)
+    raw = np.diff(norm.pu) / 0.5
+    peak = np.abs(raw).max()
+    want = raw / peak if peak > 0.0 else np.zeros_like(raw)
+    assert d.raw.tobytes() == raw.tobytes()
+    assert d.normalized.tobytes() == want.tobytes()
+    assert not (d.raw.flags.writeable or d.normalized.flags.writeable)
+
+
 def test_derivative_normalized_peak_is_one(rng):
     pu = rng.uniform(0.0, 1.0, size=300)
     d = derivative(_norm(pu))
@@ -91,6 +105,23 @@ def test_histogram_symmetric_all_zero_uses_unit_range():
     h = histogram([0.0, 0.0], bins=3, symmetric=True)
     assert h.edges[0] == -1.0 and h.edges[-1] == 1.0
     assert h.counts[1] == 2  # everything in the central bin
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 0.5], [-0.5, -0.0],
+    [-2.0, 1.0, 0.5], [2.0, -1.0], [-3.0, 3.0], [np.nan, 1.0], [1.0, np.nan], [1.0, -np.nan],
+    [np.inf, 1.0], [-np.inf, 1.0], [-np.inf, np.inf], [np.nan, -np.inf],
+    [5e-324, -5e-324], [-1.7976931348623157e308, 1.0],
+])
+def test_histogram_symmetric_range_is_abs_max(values):
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):  # non-finite values make NaN edges
+        h = histogram(values, bins=5, symmetric=True)
+        m = float(np.abs(arr).max()) or 1.0
+        grid = np.linspace(-m, m, 6)
+        counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)
+    assert h.edges.tobytes() == edges.tobytes()
+    assert h.counts.tobytes() == counts.tobytes()
 
 
 def test_histogram_rejects_empty_and_tiny_bins():
