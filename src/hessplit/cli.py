@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 from . import __version__
 from .errors import HessplitError, InvalidConfigError, InvalidRangeError
 from .metrics import normalize
-from .profiles import load_catalog, parse_profile_file, write_json, write_profile_csv
+from .profiles import _catalog_profiles, parse_profile_file, write_json, write_profile_csv
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
 
 if TYPE_CHECKING:
@@ -114,7 +114,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     path = Path(args.input)
     if args.manifest or path.suffix.lower() == ".json":
-        profiles = load_catalog(path, clamp_negative=args.clamp_negative)
+        profiles = _catalog_profiles(path, args.clamp_negative)  # parsed one at a time
     else:
         profiles = [parse_profile_file(path, clamp_negative=args.clamp_negative)]
     reports = []

@@ -55,6 +55,10 @@ class EmptyValuesError(HessplitError):
     """Histogram input is empty."""
 
 
+class NonFiniteValuesError(HessplitError):
+    """Histogram input holds NaN or an infinity, or its bin range overflows a float."""
+
+
 class NotSymmetricHistogramError(HessplitError):
     """Operation requires a histogram built with symmetric bins about zero."""
 

@@ -954,16 +954,16 @@ def load_catalog(
 
     Relative entry paths are resolved against the manifest's directory.
     """
-    manifest_path = Path(manifest_path)
-    profiles = []
+    return list(_catalog_profiles(Path(manifest_path), clamp_negative))
+
+
+def _catalog_profiles(manifest_path: Path, clamp_negative: bool) -> Iterator[LoadProfile]:
+    """Each profile of a manifest, parsed when it is reached: one is held at a time.
+
+    The whole manifest is read and checked before the first profile is parsed.
+    """
     for entry in read_catalog(manifest_path):
-        p = Path(entry.path)
-        if not p.is_absolute():
-            p = manifest_path.parent / p
-        profiles.append(
-            parse_profile_file(
-                p, site_id=entry.site_id, category_hint=entry.category_hint,
-                clamp_negative=clamp_negative,
-            )
+        yield parse_profile_file(
+            manifest_path.parent / entry.path, site_id=entry.site_id,
+            category_hint=entry.category_hint, clamp_negative=clamp_negative,
         )
-    return profiles

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -86,17 +87,13 @@ def analyze_profile(
     metrics = _compute_metrics(profile, norm, bins)
     load_hist = histogram(norm.pu, bins=bins, range=(0.0, 1.0))
 
-    derivative_hist = None
-    symmetry = None
-    classification = None
+    derivative_hist = symmetry = classification = None
     if verdict.sc_suitable:
         normalized = derivative(norm).normalized  # raw is dropped before the histogram
         derivative_hist = histogram(normalized, bins=derivative_bins, symmetric=True)
         symmetry = symmetry_report(derivative_hist, tail_level)
-        effective_hint = hint
-        if effective_hint is None and profile.category_hint is not Category.UNKNOWN:
-            effective_hint = profile.category_hint
-        classification = classify(metrics, symmetry, load_hist, hint=effective_hint, rules=rules)
+        classification = classify(metrics, symmetry, load_hist, rules=rules,
+                                  hint=hint if hint is not None else profile.category_hint)
 
     return AnalysisReport(
         site_id=profile.site_id,
@@ -126,72 +123,50 @@ def _csv_sha256(profile: LoadProfile) -> str:
     return digest.hexdigest()
 
 
-def _hist_to_dict(h: Histogram) -> dict:
-    return {
-        "edges": [float(x) for x in h.edges],
-        "counts": [int(c) for c in h.counts],
-        "total": h.total,
-        "symmetric": h.symmetric,
-    }
-
-
-def _hist_from_dict(d: dict) -> Histogram:
-    return Histogram(
-        edges=np.asarray(d["edges"], dtype=np.float64),
-        counts=np.asarray(d["counts"], dtype=np.int64),
-        total=int(d["total"]),
-        symmetric=bool(d["symmetric"]),
-    )
-
-
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (JSON-ready, lossless)."""
-    cls = report.classification
-    return {
-        "site_id": report.site_id,
-        "tool_version": report.tool_version,
-        "input_sha256": report.input_sha256,
-        "resolution": asdict(report.resolution),
-        "metrics": asdict(report.metrics),
-        "load_hist": _hist_to_dict(report.load_hist),
-        "derivative_hist": (
-            _hist_to_dict(report.derivative_hist) if report.derivative_hist else None
-        ),
-        "symmetry": asdict(report.symmetry) if report.symmetry else None,
-        "classification": None if cls is None else {
-            "category": cls.category.value,
-            "hess_compliant": cls.hess_compliant,
-            "sc_relevance": cls.sc_relevance.label,
-            "vrfb_relevance": cls.vrfb_relevance.label,
-            "rationale": list(cls.rationale),
-        },
-        "config": report.config,
-    }
+    """Plain-dict form of a report (JSON-ready, lossless).
+
+    The layout is the dataclass tree itself, field by field in declaration
+    order: each nested dataclass becomes an object, an array a list, a
+    :class:`Relevance` grade its label and any other enum its value. A
+    section that did not run is ``null``.
+    """
+    return _plain(asdict(report))
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Relevance):
+        return value.label
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
     """Rebuild a report from its dict form (inverse of :func:`report_to_dict`)."""
-    cls = d["classification"]
-    return AnalysisReport(
-        site_id=d["site_id"],
-        tool_version=d["tool_version"],
-        input_sha256=d["input_sha256"],
-        resolution=ResolutionVerdict(**d["resolution"]),
-        metrics=ProfileMetrics(**d["metrics"]),
-        load_hist=_hist_from_dict(d["load_hist"]),
-        derivative_hist=(
-            _hist_from_dict(d["derivative_hist"]) if d["derivative_hist"] else None
-        ),
-        symmetry=SymmetryReport(**d["symmetry"]) if d["symmetry"] else None,
-        classification=None if cls is None else ClassificationReport(
-            category=Category(cls["category"]),
-            hess_compliant=cls["hess_compliant"],
-            sc_relevance=Relevance[cls["sc_relevance"].upper()],
-            vrfb_relevance=Relevance[cls["vrfb_relevance"].upper()],
-            rationale=list(cls["rationale"]),
-        ),
-        config=d["config"],
-    )
+    return _typed(AnalysisReport, d)
+
+
+def _typed(tp, value):
+    """``value`` read back as type ``tp``, by the field types of each dataclass."""
+    if value is None:
+        return None
+    if get_origin(tp) is Union:  # Optional[X]; the reports hold no other union
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _typed(hints[f.name], value[f.name]) for f in fields(tp)})
+    if tp is Relevance:
+        return Relevance[value.upper()]
+    if isinstance(tp, EnumMeta):
+        return tp(value)
+    return value  # a list goes to Histogram as it is: its fields freeze it to typed arrays
 
 
 def write_report_json(report: AnalysisReport, target: Union[str, Path, IO]) -> None:

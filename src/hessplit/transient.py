@@ -9,13 +9,15 @@ up/down switching (machines, municipal feeders).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyValuesError, InvalidConfigError, NotSymmetricHistogramError
+from .errors import (EmptyValuesError, InvalidConfigError, NonFiniteValuesError,
+                     NotSymmetricHistogramError)
 from .metrics import NormalizedProfile, check_integer
 from .profiles import freeze_arrays, write_csv
 
@@ -126,19 +128,34 @@ def histogram(
     ``m = max(|values|)`` and the bin count is forced odd so one bin is
     centered exactly on zero; an all-zero series uses ``m = 1``. An even
     ``bins`` is bumped up by one rather than rejected. ``bins`` must lie in
-    ``[2, MAX_BINS]``.
+    ``[2, MAX_BINS]``. Otherwise a given ``range`` must be finite with
+    ``lo <= hi`` and hold every value, so the counts sum to the total, or
+    ``InvalidConfigError`` is raised. A NaN or infinite value, or a bin
+    range wider than a float holds, raises ``NonFiniteValuesError``.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptyValuesError("cannot histogram an empty value series")
     check_bins(bins)
+    lo, hi = float(arr.min()), float(arr.max())  # a NaN anywhere gives NaN in both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteValuesError("cannot histogram NaN or infinite values")
     if symmetric:
         if bins % 2 == 0:
             bins += 1
-        m = float(_abs_max(arr))
-        if m == 0.0:
-            m = 1.0
-        grid = np.linspace(-m, m, bins + 1)
+        hi = abs(max(hi, -lo)) or 1.0  # as _abs_max does
+        lo = -hi
+    elif range is not None:
+        if not (math.isfinite(range[0]) and math.isfinite(range[1]) and range[0] <= range[1]):
+            raise InvalidConfigError(f"histogram range must be finite with lo <= hi, got {range}")
+        if lo < range[0] or hi > range[1]:
+            raise InvalidConfigError(
+                f"values span [{lo!r}, {hi!r}], outside the histogram range {range}")
+        lo, hi = range
+    if not math.isfinite(hi - lo):
+        raise NonFiniteValuesError(f"the bin range [{lo!r}, {hi!r}] is wider than a float holds")
+    if symmetric:
+        grid = np.linspace(lo, hi, bins + 1)
         # mirror-average so edge i and edge n-i are exact negations of each
         # other; plain linspace leaves them a few ulp apart
         counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,9 +18,11 @@ from hessplit import (
     write_report_json,
 )
 from hessplit import metrics, report
-from hessplit.metrics import compute_metrics
-from hessplit.profiles import profile_to_csv
-from hessplit.report import report_from_dict, report_to_dict
+from hessplit.classify import ClassificationReport
+from hessplit.metrics import ProfileMetrics, compute_metrics
+from hessplit.profiles import ResolutionVerdict, profile_to_csv
+from hessplit.report import AnalysisReport, report_from_dict, report_to_dict
+from hessplit.transient import Histogram, SymmetryReport
 
 
 @pytest.fixture
@@ -179,3 +181,124 @@ def test_relevance_labels_round_trip():
             "classification": d, "config": {},
         }
         assert report_from_dict(rep_dict).classification.sc_relevance is rel
+
+
+# Every key, its place and its JSON type; a change here changes what analyze prints.
+_LAYOUT = """\
+{
+  "site_id": "site",
+  "tool_version": "0.1.0",
+  "input_sha256": "abababababababababababababababababababababababababababababababab",
+  "resolution": {
+    "sc_suitable": true,
+    "ups_usable": true,
+    "vrfb_only": false,
+    "reason": "r"
+  },
+  "metrics": {
+    "site_id": "site",
+    "dt": 1.0,
+    "base_power_kw": 8.0,
+    "energy_kwh": 0.5,
+    "load_factor": 0.25,
+    "base_load_pu": 0.75,
+    "peak_count": 2,
+    "mean_peak_duration_s": 1.5,
+    "max_peak_duration_s": 2.0,
+    "time_above_base_fraction": 0.125,
+    "energy_above_base_pu_h": 0.0625
+  },
+  "load_hist": {
+    "edges": [
+      0.0,
+      0.5,
+      1.0
+    ],
+    "counts": [
+      3,
+      1
+    ],
+    "total": 4,
+    "symmetric": false
+  },
+  "derivative_hist": {
+    "edges": [
+      -1.0,
+      -0.5,
+      0.5,
+      1.0
+    ],
+    "counts": [
+      1,
+      0,
+      2
+    ],
+    "total": 3,
+    "symmetric": true
+  },
+  "symmetry": {
+    "symmetry_index": 0.5,
+    "positive_tail_mass": 0.375,
+    "negative_tail_mass": 0.125,
+    "tail_level": 0.5,
+    "probe_level": 0.1,
+    "probe_positive_mass": 0.625,
+    "probe_negative_mass": 0.25,
+    "total": 3
+  },
+  "classification": {
+    "category": "PS",
+    "hess_compliant": true,
+    "sc_relevance": "High",
+    "vrfb_relevance": "Low",
+    "rationale": [
+      "a",
+      "b"
+    ]
+  },
+  "config": {
+    "bins": 2,
+    "hint": "PS"
+  }
+}"""
+
+
+def _literal_report():
+    return AnalysisReport(
+        site_id="site", tool_version="0.1.0", input_sha256="ab" * 32,
+        resolution=ResolutionVerdict(sc_suitable=True, ups_usable=True, vrfb_only=False,
+                                     reason="r"),
+        metrics=ProfileMetrics(
+            site_id="site", dt=1.0, base_power_kw=8.0, energy_kwh=0.5, load_factor=0.25,
+            base_load_pu=0.75, peak_count=2, mean_peak_duration_s=1.5, max_peak_duration_s=2.0,
+            time_above_base_fraction=0.125, energy_above_base_pu_h=0.0625,
+        ),
+        load_hist=Histogram(edges=[0.0, 0.5, 1.0], counts=[3, 1], total=4),
+        derivative_hist=Histogram(edges=[-1.0, -0.5, 0.5, 1.0], counts=[1, 0, 2], total=3,
+                                  symmetric=True),
+        symmetry=SymmetryReport(
+            symmetry_index=0.5, positive_tail_mass=0.375, negative_tail_mass=0.125,
+            tail_level=0.5, probe_level=0.1, probe_positive_mass=0.625,
+            probe_negative_mass=0.25, total=3,
+        ),
+        classification=ClassificationReport(
+            category=Category.PS, hess_compliant=True, sc_relevance=Relevance.HIGH,
+            vrfb_relevance=Relevance.LOW, rationale=["a", "b"],
+        ),
+        config={"bins": 2, "hint": "PS"},
+    )
+
+
+def test_report_layout_is_pinned():
+    # literal inputs, so the text does not depend on what numpy computes
+    full = _literal_report()
+    skipped = replace(full, derivative_hist=None, symmetry=None, classification=None)
+    null_layout = (
+        _LAYOUT[:_LAYOUT.index('  "derivative_hist"')]
+        + '  "derivative_hist": null,\n  "symmetry": null,\n  "classification": null,\n'
+        + _LAYOUT[_LAYOUT.index('  "config"'):]
+    )
+    for rep, expected in [(full, _LAYOUT), (skipped, null_layout)]:
+        text = json.dumps(report_to_dict(rep), indent=2)
+        assert text == expected
+        assert json.dumps(report_to_dict(report_from_dict(json.loads(text))), indent=2) == text

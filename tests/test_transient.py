@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from hessplit import Histogram, derivative, histogram, normalize, symmetry_repor
 from hessplit.errors import (
     EmptyValuesError,
     InvalidConfigError,
+    NonFiniteValuesError,
     NotSymmetricHistogramError,
 )
 from hessplit.metrics import NormalizedProfile
@@ -115,13 +117,34 @@ def test_histogram_symmetric_all_zero_uses_unit_range():
 ])
 def test_histogram_symmetric_range_is_abs_max(values):
     arr = np.asarray(values, dtype=np.float64)
-    with np.errstate(all="ignore"):  # non-finite values make NaN edges
-        h = histogram(values, bins=5, symmetric=True)
-        m = float(np.abs(arr).max()) or 1.0
-        grid = np.linspace(-m, m, 6)
-        counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)
+    m = float(np.abs(arr).max()) or 1.0
+    if not math.isfinite(2.0 * m):  # NaN, an infinity, or a range wider than a float
+        # these used to give NaN edges, with counts that missed values
+        with pytest.raises(NonFiniteValuesError):
+            histogram(values, bins=5, symmetric=True)
+        return
+    h = histogram(values, bins=5, symmetric=True)
+    grid = np.linspace(-m, m, 6)
+    counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)
     assert h.edges.tobytes() == edges.tobytes()
     assert h.counts.tobytes() == counts.tobytes()
+
+
+def test_histogram_rejects_values_and_ranges_it_cannot_bin():
+    for values in ([np.nan, 1.0], [1.0, -np.inf], [np.inf]):
+        with pytest.raises(NonFiniteValuesError, match="NaN or infinite"):
+            histogram(values, bins=5)
+    with pytest.raises(NonFiniteValuesError, match="wider than a float"):
+        histogram([-1.7e308, 1.7e308], bins=5)
+    with pytest.raises(NonFiniteValuesError, match="wider than a float"):
+        histogram([0.0], bins=5, range=(-1.7e308, 1.7e308))
+    for bad in [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (2.0, 1.0)]:
+        with pytest.raises(InvalidConfigError, match="finite with lo <= hi"):
+            histogram([1.5], bins=5, range=bad)
+    with pytest.raises(InvalidConfigError, match="outside the histogram range"):
+        histogram([0.5, 2.0, -1.0], bins=2, range=(0.0, 1.0))
+    h = histogram([0.0, 0.5, 1.0], bins=2, range=(0.0, 1.0))  # both ends are inside
+    assert h.counts.tolist() == [1, 2] and h.total == 3
 
 
 def test_histogram_rejects_empty_and_tiny_bins():
