@@ -11,7 +11,9 @@ Subcommands::
 The environment variable ``HESSPLIT_CONFIG`` supplies a default ``--config``
 path for the commands that take one. Config files are flat JSON objects
 whose keys are :class:`~hessplit.ems.EmsConfig` and
-:class:`~hessplit.ems.DeviceParams` field names.
+:class:`~hessplit.ems.DeviceParams` field names. The ``ups`` device flags and
+the ``synth`` kind flags each set the field their dest names, so each default
+and check is the dataclass's own.
 
 Exit codes: 0 on success, 2 for input or configuration problems,
 3 for internal errors.
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .errors import HessplitError, InvalidConfigError, InvalidRangeError
+from .errors import HessplitError, InvalidConfigError, InvalidRangeError, InvalidSpecError
 from .metrics import normalize
 from .profiles import _catalog_profiles, parse_profile_file, write_json, write_profile_csv
 from .transient import DERIVATIVE_BINS, LOAD_BINS, TAIL_LEVEL
@@ -45,7 +47,7 @@ MAX_RANGE_POINTS = 1000
 
 def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
     """Split a flat JSON config into the EMS and device parameter sets."""
-    from .ems import DeviceParams, EmsConfig, EngageMode  # analyze and synth never load ems
+    from .ems import DeviceParams, EmsConfig  # analyze and synth never load ems
 
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR) or None
@@ -64,13 +66,7 @@ def _load_config(path: Optional[str]) -> tuple[EmsConfig, DeviceParams]:
     dev_fields = {f.name for f in dataclasses.fields(DeviceParams)}
     cfg_kwargs, dev_kwargs = {}, {}
     for key, value in raw.items():
-        if key == "sc_engage_mode":
-            try:
-                cfg_kwargs[key] = EngageMode(value)
-            except ValueError:
-                modes = [m.value for m in EngageMode]
-                raise InvalidConfigError(f"{key} must be one of {modes}, got {value!r}") from None
-        elif key in ems_fields:
+        if key in ems_fields:
             cfg_kwargs[key] = value
         elif key in dev_fields:
             dev_kwargs[key] = value
@@ -113,7 +109,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .report import analyze_profile, report_to_dict  # no other command loads report
 
     path = Path(args.input)
-    if args.manifest or path.suffix.lower() == ".json":
+    manifest = args.manifest or path.suffix.lower() == ".json"
+    if manifest:
         profiles = _catalog_profiles(path, args.clamp_negative)  # parsed one at a time
     else:
         profiles = [parse_profile_file(path, clamp_negative=args.clamp_negative)]
@@ -128,8 +125,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if report.resolution.vrfb_only:
             _warn(f"{profile.site_id}: {report.resolution.reason}; transient analysis skipped")
         reports.append(report_to_dict(report))
-    write_json(reports[0] if len(reports) == 1 and not args.manifest else reports,
-               args.out or sys.stdout)
+    write_json(reports if manifest else reports[0], args.out or sys.stdout)
     return 0
 
 
@@ -161,33 +157,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ups(args: argparse.Namespace) -> int:
-    from .ems import make_ups_scenario
+    from .ems import DeviceParams, make_ups_scenario
 
     _, dev = _load_config(args.config)
-    overrides = {}
-    for flag, field in [
-        ("vrfb_power", "vrfb_power_kw"), ("vrfb_energy", "vrfb_energy_kwh"),
-        ("sc_power", "sc_power_kw"), ("sc_energy", "sc_energy_kwh"),
-        ("vrfb_soc", "vrfb_initial_soc_fraction"), ("sc_soc", "sc_initial_soc_fraction"),
-    ]:
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        dev = dataclasses.replace(dev, **overrides)
+    dev_fields = {f.name for f in dataclasses.fields(DeviceParams)}
+    dev = dataclasses.replace(dev, **{
+        k: v for k, v in vars(args).items() if k in dev_fields and v is not None})
     profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
     scenario = make_ups_scenario(profile, args.start, args.duration, dev)
-    write_json({
-        "site_id": profile.site_id,
-        "outage_start_s": args.start,
-        "outage_duration_s": args.duration,
-        "feasible": scenario.feasible,
-        "limiting": scenario.limiting.value,
-        "window_peak_kw": scenario.window_peak_kw,
-        "window_energy_kwh": scenario.window_energy_kwh,
-        "power_cap_kw": scenario.power_cap_kw,
-        "energy_available_kwh": scenario.energy_available_kwh,
-    }, args.out or sys.stdout)
+    result = {"site_id": profile.site_id, "outage_start_s": args.start,
+              "outage_duration_s": args.duration}
+    result |= {f.name: getattr(scenario, f.name) for f in dataclasses.fields(scenario)
+               if f.name != "hess_demand"}
+    result["limiting"] = scenario.limiting.value
+    write_json(result, args.out or sys.stdout)
     if args.demand_out:
         write_profile_csv(scenario.hess_demand, args.demand_out)
     return 0
@@ -196,23 +179,13 @@ def _cmd_ups(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .synth import EvParkSpec, MachineSpec, MunicipalSpec, generate  # nor synth
 
-    common = {"days": args.days, "dt": args.dt, "seed": args.seed}
-    if args.scale_kw is not None:
-        scale = {"scale_kw": args.scale_kw}
-    else:
-        scale = {}
-    if args.kind == "municipal":
-        spec = MunicipalSpec(**common, **scale, noise_sigma=args.noise_sigma)
-    elif args.kind == "machine":
-        spec = MachineSpec(
-            **common, **scale, duty_cycle=args.duty_cycle, on_level=args.on_level,
-        )
-    else:
-        spec = EvParkSpec(
-            **common,
-            arrival_rate_per_h=args.arrival_rate,
-            charge_power_kw=args.charge_power,
-        )
+    specs = {"municipal": MunicipalSpec, "machine": MachineSpec, "ev_park": EvParkSpec}
+    params = {f.name for spec in specs.values() for f in dataclasses.fields(spec)}
+    given = {k: v for k, v in vars(args).items() if k in params and v is not None}
+    foreign = sorted(given.keys() - {f.name for f in dataclasses.fields(specs[args.kind])})
+    if foreign:
+        raise InvalidSpecError(f"{args.kind}: no such parameter: {', '.join(foreign)}")
+    spec = specs[args.kind](**given)
     profile, events = generate(spec)
     write_profile_csv(profile, args.out)
     if args.events:
@@ -261,12 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True, help="outage start, seconds from t0")
     p.add_argument("--duration", type=float, required=True, help="outage length in seconds")
     p.add_argument("--config", help=f"JSON config (default: ${CONFIG_ENV_VAR} or built-ins)")
-    p.add_argument("--vrfb-power", type=float, help="override battery power rating (kW)")
-    p.add_argument("--vrfb-energy", type=float, help="override battery capacity (kWh)")
-    p.add_argument("--sc-power", type=float, help="override supercapacitor power (kW)")
-    p.add_argument("--sc-energy", type=float, help="override supercapacitor capacity (kWh)")
-    p.add_argument("--vrfb-soc", type=float, help="override battery initial SoC fraction")
-    p.add_argument("--sc-soc", type=float, help="override supercapacitor initial SoC fraction")
+    p.add_argument("--vrfb-power", type=float, dest="vrfb_power_kw",
+                   help="override battery power rating (kW)")
+    p.add_argument("--vrfb-energy", type=float, dest="vrfb_energy_kwh",
+                   help="override battery capacity (kWh)")
+    p.add_argument("--sc-power", type=float, dest="sc_power_kw",
+                   help="override supercapacitor power (kW)")
+    p.add_argument("--sc-energy", type=float, dest="sc_energy_kwh",
+                   help="override supercapacitor capacity (kWh)")
+    p.add_argument("--vrfb-soc", type=float, dest="vrfb_initial_soc_fraction",
+                   help="override battery initial SoC fraction")
+    p.add_argument("--sc-soc", type=float, dest="sc_initial_soc_fraction",
+                   help="override supercapacitor initial SoC fraction")
     p.add_argument("--demand-out", help="also write the in-window demand profile CSV here")
     p.add_argument("--out", help="feasibility JSON path (default: stdout)")
 
@@ -277,13 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=1, help="profile length in days")
     p.add_argument("--dt", type=float, default=1.0, help="sample interval in seconds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=0.01, help="municipal only")
-    p.add_argument("--duty-cycle", type=float, default=0.5, help="machine only: off fraction")
-    p.add_argument("--on-level", type=float, default=0.95, help="machine only")
-    p.add_argument("--arrival-rate", type=float, default=3.0, help="ev_park only: sessions/hour")
-    p.add_argument("--charge-power", type=float, default=11.0, help="ev_park only: kW")
-    p.add_argument("--scale-kw", type=float,
-                   help="municipal/machine output scale in kW (defaults per kind)")
+    # a kind flag sets the spec field named by its dest; left out, the spec's default holds
+    p.add_argument("--noise-sigma", type=float, dest="noise_sigma", help="municipal only")
+    p.add_argument("--duty-cycle", type=float, dest="duty_cycle",
+                   help="machine only: off fraction")
+    p.add_argument("--on-level", type=float, dest="on_level", help="machine only")
+    p.add_argument("--arrival-rate", type=float, dest="arrival_rate_per_h",
+                   help="ev_park only: sessions/hour")
+    p.add_argument("--charge-power", type=float, dest="charge_power_kw", help="ev_park only: kW")
+    p.add_argument("--scale-kw", type=float, dest="scale_kw", help="municipal/machine: kW scale")
 
     return parser
 

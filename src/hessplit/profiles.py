@@ -88,7 +88,7 @@ def freeze_arrays(obj, dtype, *names: str, copy: bool = True) -> None:
 
 
 def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lambda: None) -> None:
-    """Store each field of a frozen dataclass annotated ``float`` as a Python float.
+    """Store a frozen dataclass's float fields as Python floats, its enum fields as members.
 
     The fields are those annotated ``float`` or ``Optional[float]``. Each
     must hold a real number; a bool, a non-real or an int or ``Fraction``
@@ -97,7 +97,18 @@ def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lamb
     messages show them as the caller wrote them, and only then is each
     stored as ``float(v)``. From there on ``5``, ``5.0``, ``np.float32(5.0)``
     and ``Fraction(5)`` are one value to every expression that reads it.
+
+    An enum field is one whose default is an enum member. It takes a member
+    or a member's value and stores the member; anything else raises ``error``.
     """
+    for f in fields(obj):
+        if isinstance(f.default, Enum):
+            enum, v = type(f.default), getattr(obj, f.name)
+            try:
+                object.__setattr__(obj, f.name, enum(v))
+            except ValueError:
+                values = [m.value for m in enum]
+                raise error(f"{f.name} must be one of {values}, got {v!r}") from None
     floats = [f for f in fields(obj) if f.type in ("float", "Optional[float]")]
     for f in floats:
         v = getattr(obj, f.name)

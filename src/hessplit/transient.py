@@ -130,8 +130,9 @@ def histogram(
     ``bins`` is bumped up by one rather than rejected. ``bins`` must lie in
     ``[2, MAX_BINS]``. Otherwise a given ``range`` must be finite with
     ``lo <= hi`` and hold every value, so the counts sum to the total, or
-    ``InvalidConfigError`` is raised. A NaN or infinite value, or a bin
-    range wider than a float holds, raises ``NonFiniteValuesError``.
+    ``InvalidConfigError`` is raised, as it is for a span too narrow to
+    hold ``bins`` increasing edges. A NaN or infinite value, or a bin range
+    wider than a float holds, raises ``NonFiniteValuesError``.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -160,7 +161,10 @@ def histogram(
         # other; plain linspace leaves them a few ulp apart
         counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)
     else:
-        counts, edges = np.histogram(arr, bins=bins, range=range)
+        try:  # numpy raises when the span is too narrow for increasing edges at its magnitude
+            counts, edges = np.histogram(arr, bins=bins, range=range)
+        except ValueError:  # every other ValueError numpy raises is ruled out above
+            raise InvalidConfigError(f"{bins} bins do not fit in [{lo!r}, {hi!r}]") from None
     return Histogram(edges=edges, counts=counts, total=int(arr.size), symmetric=symmetric)
 
 

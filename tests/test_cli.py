@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from hessplit import (
-    DeviceParams, EmsConfig, EngageMode, LoadProfile, parse_profile_file, write_profile_csv,
+    DeviceParams, EmsConfig, EngageMode, EvParkSpec, LoadProfile, MachineSpec, MunicipalSpec,
+    parse_profile_file, write_profile_csv,
 )
 from hessplit.cli import CONFIG_ENV_VAR, _parse_range, main
 from hessplit.errors import InvalidRangeError
@@ -101,6 +102,15 @@ def test_analyze_manifest(capsys, tmp_path, rng):
     reports = json.loads(out)
     assert [r["site_id"] for r in reports] == ["one", "two"]
     assert reports[0]["classification"]["category"] == "PS"
+
+
+def test_analyze_json_input_is_always_a_manifest(capsys, tmp_path, profile_csv):
+    manifest = tmp_path / "catalog.json"
+    manifest.write_text(json.dumps([{"path": profile_csv.name, "site_id": "one"}]))
+    code, out, _ = run(capsys, "analyze", str(manifest))  # no --manifest: the suffix decides
+    assert code == 0
+    reports = json.loads(out)
+    assert isinstance(reports, list) and [r["site_id"] for r in reports] == ["one"]
 
 
 @pytest.mark.parametrize("manifest", [
@@ -644,6 +654,38 @@ def test_synth_ev_park(capsys, tmp_path):
     nonzero = profile.samples[profile.samples > 0.0]
     values, counts = np.unique(nonzero, return_counts=True)
     assert values[np.argmax(counts)] == 7.0  # constant phase dominates
+
+
+_SPECS = {"municipal": MunicipalSpec, "machine": MachineSpec, "ev_park": EvParkSpec}
+#: each synth kind flag and the kinds whose spec has its field
+_KIND_FLAGS = {
+    "--noise-sigma": {"municipal"},
+    "--duty-cycle": {"machine"},
+    "--on-level": {"machine"},
+    "--arrival-rate": {"ev_park"},
+    "--charge-power": {"ev_park"},
+    "--scale-kw": {"municipal", "machine"},
+}
+
+
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag) for kind in _SPECS for flag, kinds in _KIND_FLAGS.items() if kind not in kinds])
+def test_synth_flag_of_another_kind_exits_2(capsys, tmp_path, kind, flag):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", "--kind", kind, "--out", str(out_csv), flag, "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind}: no such parameter: ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("kind", _SPECS)
+def test_synth_defaults_are_the_specs(capsys, tmp_path, kind):
+    events_json = tmp_path / "events.json"
+    code, _, _ = run(capsys, "synth", "--kind", kind, "--out", str(tmp_path / "x.csv"),
+                     "--events", str(events_json))
+    assert code == 0
+    expected = dataclasses.asdict(_SPECS[kind](days=1, dt=1.0, seed=0)) | {"kind": kind}
+    assert json.loads(events_json.read_text())["spec"] == expected
 
 
 def test_synth_bad_spec(capsys, tmp_path):

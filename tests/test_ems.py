@@ -118,6 +118,33 @@ def test_infinite_energy_needs_a_charge_to_start_from(dev):
     DeviceParams(**{energy: 1e308, fraction: 0.0})  # fine
 
 
+@pytest.mark.parametrize("mode", list(EngageMode))
+def test_engage_mode_value_gives_its_member(mode):
+    assert EmsConfig(sc_engage_mode=mode.value).sc_engage_mode is mode
+    assert EmsConfig(sc_engage_mode=mode).sc_engage_mode is mode
+
+
+def test_engage_mode_value_dispatches_as_its_member():
+    norm = normalize(gen_machine(MachineSpec(days=1))[0])
+    runs = []
+    for mode in (EngageMode.THRESHOLD_OR_DERIVATIVE, "ThresholdOrDerivative"):
+        res = dispatch(norm, EmsConfig(sc_engage_mode=mode))
+        buf = io.StringIO()
+        write_dispatch_csv(res, buf)
+        # the trace has no engaged column: a mode read as ThresholdOnly shows in the stats
+        runs.append((buf.getvalue(), res.engaged_sc.tobytes(), res.stats))
+    assert runs[0] == runs[1]
+    assert runs[0][2].sc_engaged_fraction == 43104 / 86400
+
+
+@pytest.mark.parametrize("value", [42, "Bogus", [1], None, True])
+def test_engage_mode_rejects_what_is_not_a_mode(value):
+    with pytest.raises(InvalidConfigError) as exc:
+        EmsConfig(sc_engage_mode=value)
+    assert str(exc.value) == (
+        f"sc_engage_mode must be one of ['ThresholdOnly', 'ThresholdOrDerivative'], got {value!r}")
+
+
 @pytest.mark.parametrize("field", ["vrfb_power_kw", "sc_power_kw", "sc_recharge_power_kw",
                                    "vrfb_recharge_power_kw"])
 def test_device_powers_must_be_finite(field):

@@ -353,6 +353,14 @@ def test_catalog_manifest(tmp_path, make_profile):
     assert np.array_equal(profiles[1].samples, b.samples)
 
 
+def test_category_hint_value_gives_its_member(make_profile):
+    assert make_profile([1.0, 2.0], category_hint="PS").category_hint is Category.PS
+    with pytest.raises(InvalidProfileError) as exc:
+        make_profile([1.0, 2.0], category_hint="XX")
+    assert str(exc.value) == (
+        "category_hint must be one of ['PS', 'WDG', 'UPS', 'VI', 'Unknown'], got 'XX'")
+
+
 def test_catalog_rejects_bad_entries(tmp_path):
     manifest = tmp_path / "catalog.json"
     manifest.write_text(json.dumps([{"site_id": "missing-path"}]))

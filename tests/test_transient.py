@@ -147,6 +147,26 @@ def test_histogram_rejects_values_and_ranges_it_cannot_bin():
     assert h.counts.tolist() == [1, 2] and h.total == 3
 
 
+# spans whose bin edges round to equal floats: numpy's 0.5 widening of an
+# empty span rounds away at 1e16, and 5e-324 cannot be split in five
+@pytest.mark.parametrize("values, bins, range_, span", [
+    ([1e16, 1e16], 4, None, "[1e+16, 1e+16]"),
+    ([1e16, 1e16 + 2], 4, None, "[1e+16, 1.0000000000000002e+16]"),
+    ([1e16, 1e16 + 2], 4, (1e16, 1e16 + 2), "[1e+16, 1.0000000000000002e+16]"),
+    ([0.0, 5e-324], 5, None, "[0.0, 5e-324]"),
+    ([1e308], 4, (1e308, 1e308), "[1e+308, 1e+308]"),
+])
+def test_histogram_rejects_spans_too_narrow_for_its_bins(values, bins, range_, span):
+    with pytest.raises(InvalidConfigError) as exc:
+        histogram(values, bins=bins, range=range_)
+    assert str(exc.value) == f"{bins} bins do not fit in {span}"
+
+
+def test_histogram_symmetric_span_of_large_values_fits():
+    h = histogram([1e16, 1e16 + 2], bins=4, symmetric=True)  # [-m, m] is wide enough
+    assert h.counts.tolist() == [0, 0, 0, 0, 2]
+
+
 def test_histogram_rejects_empty_and_tiny_bins():
     with pytest.raises(EmptyValuesError):
         histogram([])
