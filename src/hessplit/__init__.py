@@ -12,10 +12,13 @@ The package answers two questions about an electrical load profile:
 
 Each public name loads on first use (PEP 562), so a CLI command imports
 only the modules it runs: ``dispatch`` loads neither the report (nor its
-``hashlib``) nor the generators. Start-up is a large share of a short run.
+``hashlib``), the classifier nor the generators, and ``import hessplit``
+alone loads no numpy. Start-up is a large share of a short run.
 """
 
 import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -65,8 +68,20 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_EXPORTS})
 
 
-# ``classify`` names a submodule and a function. A package gets a submodule
-# as its attribute when the submodule first loads, so after ``report`` loads
-# ``hessplit.classify`` a lazy ``from hessplit import classify`` would return
-# the module. Bound here, after that load, the name stays the function.
-from .classify import classify  # noqa: E402
+class _Package(types.ModuleType):
+    """The package module, whose ``classify`` attribute stays the function.
+
+    ``classify`` names a submodule and a function. The import system binds a
+    submodule as a package attribute when it first loads it, whatever loaded
+    it (``report``, ``import hessplit.classify``), so a later ``from hessplit
+    import classify`` would return the module. That binding comes here and
+    takes the function instead.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "classify" and isinstance(value, types.ModuleType):
+            value = value.classify
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -31,6 +31,16 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+# numpy's bundled OpenBLAS starts a worker thread per extra CPU when numpy
+# loads, and each spins for about 0.12 s of CPU before it sleeps. No command
+# makes a BLAS call, so one thread will do. On 2 vCPUs that saves each run
+# the spin's CPU, and its wall time when the other vCPU is busy, as it was
+# when `import numpy` took 235-254 ms by default and 158-184 ms with one
+# thread (medians of 21 child runs). A user's own value is kept, and a numpy
+# already loaded has read the variable.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .errors import HessplitError, InvalidConfigError, InvalidRangeError, InvalidSpecError
 from .metrics import normalize

@@ -12,7 +12,7 @@ from the start by the row parser, which is the reference: it alone writes
 error messages, and it alone reads ISO timestamps. Other iterables of lines
 go to the row parser directly.
 
-Every CSV this package writes is rendered by :func:`csv_blocks`, a few
+Every CSV this package writes is rendered by :func:`csv_bytes`, a few
 thousand rows at a time, from numpy columns. Each field is the ``repr`` of
 its value. Float fields come from a numpy kernel that computes the digits
 ``repr`` prints, block by block (:func:`_fixed_digits` holds the argument
@@ -124,7 +124,8 @@ def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lamb
             object.__setattr__(obj, f.name, float(v))
 
 
-#: Rows per text block of :func:`csv_blocks`; bounds the memory of a render.
+#: Rows per block of :func:`csv_bytes`. This bounds a block's text and fields,
+#: not a render: a tabled column is sorted whole (see :func:`_column_renderer`).
 CSV_BLOCK_ROWS = 4096
 #: Values of a long column counted before it may be sorted for a table.
 _TABLE_SAMPLE = 1024
@@ -404,6 +405,11 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     first occurrence, left-aligned, looked up one block at a time with
     ``np.searchsorted``. Every other column renders each block's values.
     Other dtypes raise ``TypeError``.
+
+    Deciding on a table costs memory in proportion to the whole column, not
+    to a block: ``np.unique(keys, return_index=True)`` sorts all ``n`` keys,
+    making a flattened copy of them, a mergesort argsort (``n`` int64
+    indices), a sorted copy and a boolean mask.
     """
     if col.dtype.kind == "f":
         col = col.astype(np.float64, copy=False)
@@ -430,22 +436,22 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     return tabled
 
 
-def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """Yield the text of :func:`write_csv`: the header row, then blocks of
-    :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column.
+def csv_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """Yield the UTF-8 bytes of :func:`write_csv`: the header row, then blocks
+    of :data:`CSV_BLOCK_ROWS` rows, each rendered from one slice of every column.
 
     How to render each column is decided once per call by
     :func:`_column_renderer`. A block is one matrix of bytes: each column's
     fields in a run of byte columns, NUL where a field has no byte, then a
     separator column, with ``\r\n`` after the last field. One boolean
-    compaction, which drops the NUL bytes, turns it into the block's text.
+    compaction, which drops the NUL bytes, turns it into the block's bytes.
     A long column with few distinct values (at most one per
     :data:`_TABLE_FRACTION` rows) takes its bytes from a table of each
     distinct value's field, rendered once; every other column renders each
     value. Values with equal bits have equal fields, so the tabled text is
     every row's own.
     """
-    yield ",".join(header) + "\r\n"
+    yield (",".join(header) + "\r\n").encode("utf-8")
     renderers = list(map(_column_renderer, columns))
     n = len(columns[0])
     for s in range(0, n, CSV_BLOCK_ROWS):
@@ -459,7 +465,12 @@ def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator
             text[:, at + w] = ord(",")
             at += w + 1
         text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-        yield text[text != 0].tobytes().decode("ascii")
+        yield text[text != 0].tobytes()
+
+
+def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """The blocks of :func:`csv_bytes` as text."""
+    return (block.decode("utf-8") for block in csv_bytes(header, columns))
 
 
 def write_csv(
@@ -472,16 +483,16 @@ def write_csv(
     precision, an integer as plain digits), fields are joined by ``,`` and
     every row ends in ``\r\n``: byte for byte what ``csv.writer`` writes for
     the same ``repr`` strings, none of which needs quoting. Header names are
-    written as they are. The text comes from :func:`csv_blocks`, which
+    written as they are. The text comes from :func:`csv_bytes`, which
     computes float fields in numpy and takes a long column's repeated values
     from a table built once per distinct bit pattern: the same strings.
 
-    A path is opened as UTF-8 with ``newline=""`` and closed again; an open
-    file is written as it is and left open.
+    A path is opened in binary mode, written those bytes and closed again;
+    an open file is written the text of :func:`csv_blocks` and left open.
     """
     if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, header, columns)
+        with open(target, "wb") as fh:
+            fh.writelines(csv_bytes(header, columns))
         return
     for block in csv_blocks(header, columns):
         target.write(block)
@@ -849,13 +860,13 @@ def write_profile_csv(profile: LoadProfile, target: Union[str, Path, IO]) -> Non
     write_csv(target, CSV_HEADER, (profile.times(), profile.samples))
 
 
-def profile_csv_blocks(profile: LoadProfile) -> Iterator[str]:
-    """The canonical CSV of :func:`write_profile_csv`, as :func:`csv_blocks`."""
-    return csv_blocks(CSV_HEADER, (profile.times(), profile.samples))
+def profile_csv_bytes(profile: LoadProfile) -> Iterator[bytes]:
+    """The canonical CSV of :func:`write_profile_csv`, as :func:`csv_bytes`."""
+    return csv_bytes(CSV_HEADER, (profile.times(), profile.samples))
 
 
 def profile_to_csv(profile: LoadProfile) -> str:
-    return "".join(profile_csv_blocks(profile))
+    return "".join(block.decode("ascii") for block in profile_csv_bytes(profile))
 
 
 def validate_resolution(profile: LoadProfile) -> ResolutionVerdict:

@@ -28,7 +28,7 @@ from .profiles import (
     Category,
     LoadProfile,
     ResolutionVerdict,
-    profile_csv_blocks,
+    profile_csv_bytes,
     validate_resolution,
     write_json,
 )
@@ -118,8 +118,8 @@ def analyze_profile(
 def _csv_sha256(profile: LoadProfile) -> str:
     """SHA-256 of ``profile_to_csv(profile)``, fed one rendered block at a time."""
     digest = hashlib.sha256()
-    for block in profile_csv_blocks(profile):
-        digest.update(block.encode("utf-8"))
+    for block in profile_csv_bytes(profile):
+        digest.update(block)
     return digest.hexdigest()
 
 

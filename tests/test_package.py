@@ -1,4 +1,5 @@
-"""The package surface, and what each command imports, in fresh interpreters.
+"""The package surface, what each command imports, and the thread count the
+CLI gives OpenBLAS, in fresh interpreters.
 
 Import order decides what a lazy attribute lookup returns, so every check
 here runs in a child process that starts with nothing of hessplit loaded.
@@ -48,11 +49,14 @@ SURFACE = {
 }
 
 
-def _child(code: str):
+def _child(code: str, openblas_threads: str | None = None):
     """Run ``code`` in a fresh interpreter importing hessplit from ``src``; return
-    the JSON value it prints last."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    the JSON value it prints last. ``OPENBLAS_NUM_THREADS`` is set to
+    ``openblas_threads`` if that is given, else left unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -90,8 +94,10 @@ print(json.dumps(r))
     assert result["not_starred"] == []
 
 
-@pytest.mark.parametrize("first", ["import hessplit.report", "from hessplit import report",
-                                   "import hessplit.classify"])
+@pytest.mark.parametrize("first", [
+    "import hessplit.report", "from hessplit import report", "import hessplit.classify",
+    "import hessplit.classify as m; assert isinstance(m, types.FunctionType), m",
+])
 def test_classify_is_the_function_whatever_loads_first(first):
     result = _child(f"""
 import json, types
@@ -104,6 +110,29 @@ print(json.dumps([isinstance(classify, types.FunctionType), classify is hessplit
     assert result == [True, True, "hessplit.classify"]
 
 
+def test_import_loads_no_numpy():
+    assert _child("import json, sys, hessplit; print(json.dumps('numpy' in sys.modules))") is False
+
+
+@pytest.mark.parametrize("imports, given, expected", [
+    ("import hessplit.cli", None, "1"),
+    ("import hessplit.cli", "2", "2"),
+    ("import numpy; import hessplit.cli", None, None),
+    ("import hessplit", None, None),
+], ids=["cli", "cli-user-value", "numpy-first", "package"])
+def test_cli_sets_openblas_threads_only_before_numpy(imports, given, expected):
+    code = f"import json, os; {imports}; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert _child(code, given) == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+def test_cli_starts_no_openblas_workers():
+    count = "import json, os; print(json.dumps(len(os.listdir('/proc/self/task'))))"
+    if _child(f"import numpy; {count}") == 1:
+        pytest.skip("numpy alone starts a single thread here")
+    assert _child(f"import hessplit.cli; {count}") == 1
+
+
 @pytest.fixture(scope="module")
 def machine_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cold") / "machine.csv"
@@ -111,7 +140,7 @@ def machine_csv(tmp_path_factory):
     return path
 
 
-_NOT_RUN = ["hessplit.report", "hessplit.synth", "hashlib"]
+_NOT_RUN = ["hessplit.report", "hessplit.synth", "hashlib", "hessplit.classify"]
 
 
 @pytest.mark.parametrize("argv, unloaded", [
