@@ -17,14 +17,11 @@ alone loads no numpy. Start-up is a large share of a short run.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
 #: Each public name, under the submodule that defines it.
 _EXPORTS = {
-    "classify": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],
     "ems": [
         "DeviceParams", "DispatchResult", "EmsConfig", "EngageMode", "FlagSeries", "Limiting",
         "UpsScenario", "UtilizationStats", "compute_flags", "dispatch", "make_ups_scenario",
@@ -41,6 +38,7 @@ _EXPORTS = {
         "validate_resolution", "write_profile_csv",
     ],
     "report": ["AnalysisReport", "analyze_profile", "read_report_json", "write_report_json"],
+    "rules": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],
     "synth": [
         "EvParkSpec", "MachineSpec", "MunicipalSpec", "gen_ev_park", "gen_machine",
         "gen_municipal", "generate",
@@ -67,21 +65,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_EXPORTS})
 
-
-class _Package(types.ModuleType):
-    """The package module, whose ``classify`` attribute stays the function.
-
-    ``classify`` names a submodule and a function. The import system binds a
-    submodule as a package attribute when it first loads it, whatever loaded
-    it (``report``, ``import hessplit.classify``), so a later ``from hessplit
-    import classify`` would return the module. That binding comes here and
-    takes the function instead.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "classify" and isinstance(value, types.ModuleType):
-            value = value.classify
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -56,17 +56,21 @@ class EmptyValuesError(HessplitError):
 
 
 class NonFiniteValuesError(HessplitError):
-    """Histogram input holds NaN or an infinity, or its bin range overflows a float."""
+    """Histogram input is not all finite real numbers, or its bin range overflows a float."""
 
 
 class NotSymmetricHistogramError(HessplitError):
     """Operation requires a histogram built with symmetric bins about zero."""
 
 
-# --- classification ---
+# --- classification / reports ---
 
 class InconsistentInputsError(HessplitError):
     """Summaries passed to the classifier come from different series."""
+
+
+class MalformedReportError(HessplitError):
+    """JSON read as an analysis report is not one: not JSON, or a field missing or bad."""
 
 
 # --- energy management ---

@@ -87,6 +87,18 @@ def freeze_arrays(obj, dtype, *names: str, copy: bool = True) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def float_array(values, error: type[Exception]) -> np.ndarray:
+    """``values`` as float64, the same array where they already are; a complex
+    value (numpy would drop its imaginary part) or a non-number raises ``error``."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError("got complex values")
+        return arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise error(f"values must be real numbers: {exc}") from None
+
+
 def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lambda: None) -> None:
     """Store a frozen dataclass's float fields as Python floats, its enum fields as members.
 
@@ -551,6 +563,7 @@ class LoadProfile:
     _owned: InitVar[bool] = False  # see freeze_arrays
 
     def __post_init__(self, _owned):
+        object.__setattr__(self, "samples", float_array(self.samples, InvalidProfileError))
         freeze_arrays(self, np.float64, "samples", copy=not _owned)
         freeze_numbers(self, InvalidProfileError, self._check)
 

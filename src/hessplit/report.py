@@ -22,7 +22,7 @@ from typing import IO, Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .classify import ClassificationReport, Relevance, RuleThresholds, classify
+from .errors import MalformedReportError
 from .metrics import ProfileMetrics, _compute_metrics, normalize
 from .profiles import (
     Category,
@@ -32,6 +32,7 @@ from .profiles import (
     validate_resolution,
     write_json,
 )
+from .rules import ClassificationReport, Relevance, RuleThresholds, classify
 from .transient import (
     DERIVATIVE_BINS,
     LOAD_BINS,
@@ -153,19 +154,29 @@ def report_from_dict(d: dict) -> AnalysisReport:
     return _typed(AnalysisReport, d)
 
 
-def _typed(tp, value):
-    """``value`` read back as type ``tp``, by the field types of each dataclass."""
-    if value is None:
-        return None
+def _typed(tp, value, path: str = "report"):
+    """``value`` read back as type ``tp``, by the field types of each dataclass.
+    A value that does not fit raises ``MalformedReportError`` naming its ``path``."""
     if get_origin(tp) is Union:  # Optional[X]; the reports hold no other union
+        if value is None:
+            return None
         (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return tp(**{f.name: _typed(hints[f.name], value[f.name]) for f in fields(tp)})
-    if tp is Relevance:
-        return Relevance[value.upper()]
-    if isinstance(tp, EnumMeta):
-        return tp(value)
+    try:
+        if is_dataclass(tp):
+            if not isinstance(value, dict):
+                raise MalformedReportError(f"{path} must be a JSON object, got {value!r:.40}")
+            missing = [f.name for f in fields(tp) if f.name not in value]
+            if missing:
+                raise MalformedReportError(f"{path} has no field {missing[0]!r}")
+            hints = get_type_hints(tp)
+            return tp(**{f.name: _typed(hints[f.name], value[f.name], f"{path}.{f.name}")
+                         for f in fields(tp)})
+        if tp is Relevance:
+            return Relevance[value.upper()]
+        if isinstance(tp, EnumMeta):
+            return tp(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedReportError(f"bad field {path}: {exc!r}") from None
     return value  # a list goes to Histogram as it is: its fields freeze it to typed arrays
 
 
@@ -174,6 +185,10 @@ def write_report_json(report: AnalysisReport, target: Union[str, Path, IO]) -> N
 
 
 def read_report_json(source: Union[str, Path, IO]) -> AnalysisReport:
-    if isinstance(source, (str, Path)):
-        return report_from_dict(json.loads(Path(source).read_text(encoding="utf-8")))
-    return report_from_dict(json.load(source))
+    """A report as :func:`write_report_json` wrote it; else ``MalformedReportError``."""
+    try:  # a JSONDecodeError, or from a file a UnicodeDecodeError
+        d = json.loads(Path(source).read_text(encoding="utf-8")
+                       if isinstance(source, (str, Path)) else source.read())
+    except ValueError as exc:
+        raise MalformedReportError(f"not a JSON report: {exc}") from None
+    return report_from_dict(d)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (EmptyValuesError, InvalidConfigError, NonFiniteValuesError,
                      NotSymmetricHistogramError)
 from .metrics import NormalizedProfile, check_integer
-from .profiles import freeze_arrays, write_csv
+from .profiles import float_array, freeze_arrays, write_csv
 
 #: Default bin count for load-value histograms.
 LOAD_BINS = 100
@@ -131,10 +131,11 @@ def histogram(
     ``[2, MAX_BINS]``. Otherwise a given ``range`` must be finite with
     ``lo <= hi`` and hold every value, so the counts sum to the total, or
     ``InvalidConfigError`` is raised, as it is for a span too narrow to
-    hold ``bins`` increasing edges. A NaN or infinite value, or a bin range
-    wider than a float holds, raises ``NonFiniteValuesError``.
+    hold ``bins`` increasing edges. A value that is not a finite real number
+    (NaN, an infinity, a complex or a non-number), or a bin range wider than
+    a float holds, raises ``NonFiniteValuesError``.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
+    arr = float_array(values, NonFiniteValuesError).ravel()
     if arr.size == 0:
         raise EmptyValuesError("cannot histogram an empty value series")
     check_bins(bins)

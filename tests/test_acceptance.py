@@ -37,7 +37,7 @@ from hessplit import (
     threshold_sweep,
     validate_resolution,
 )
-from hessplit.classify import classify
+from hessplit.rules import classify
 from hessplit.transient import DERIVATIVE_BINS, LOAD_BINS, derivative, histogram, symmetry_report
 from conftest import dyadic_factor, dyadic_samples
 from oracle import naive_dispatch

@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: The public names, by defining submodule, as the eager package exported them.
 SURFACE = {
-    "classify": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],
     "ems": [
         "DeviceParams", "DispatchResult", "EmsConfig", "EngageMode", "FlagSeries", "Limiting",
         "UpsScenario", "UtilizationStats", "compute_flags", "dispatch", "make_ups_scenario",
@@ -38,6 +37,7 @@ SURFACE = {
         "validate_resolution", "write_profile_csv",
     ],
     "report": ["AnalysisReport", "analyze_profile", "read_report_json", "write_report_json"],
+    "rules": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],
     "synth": [
         "EvParkSpec", "MachineSpec", "MunicipalSpec", "gen_ev_park", "gen_machine",
         "gen_municipal", "generate",
@@ -95,8 +95,7 @@ print(json.dumps(r))
 
 
 @pytest.mark.parametrize("first", [
-    "import hessplit.report", "from hessplit import report", "import hessplit.classify",
-    "import hessplit.classify as m; assert isinstance(m, types.FunctionType), m",
+    "import hessplit.report", "from hessplit import report", "import hessplit.rules",
 ])
 def test_classify_is_the_function_whatever_loads_first(first):
     result = _child(f"""
@@ -107,7 +106,19 @@ import hessplit
 print(json.dumps([isinstance(classify, types.FunctionType), classify is hessplit.classify,
                   classify.__module__]))
 """)
-    assert result == [True, True, "hessplit.classify"]
+    assert result == [True, True, "hessplit.rules"]
+
+
+def test_classify_names_no_submodule():
+    assert _child("""
+import json
+try:
+    import hessplit.classify
+    missing = None
+except ModuleNotFoundError as exc:
+    missing = exc.name
+print(json.dumps(missing))
+""") == "hessplit.classify"
 
 
 def test_import_loads_no_numpy():
@@ -140,7 +151,7 @@ def machine_csv(tmp_path_factory):
     return path
 
 
-_NOT_RUN = ["hessplit.report", "hessplit.synth", "hashlib", "hessplit.classify"]
+_NOT_RUN = ["hessplit.report", "hessplit.synth", "hashlib", "hessplit.rules"]
 
 
 @pytest.mark.parametrize("argv, unloaded", [

@@ -194,6 +194,12 @@ def test_profile_validation():
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, -2.0]))
     with pytest.raises(InvalidProfileError):
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1.0, np.nan]))
+    with pytest.raises(InvalidProfileError):
+        LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=[1.0, None])
+    with pytest.raises(InvalidProfileError, match="real numbers: got complex"):
+        LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1 + 5j, 2j, 3.0]))
+    with pytest.raises(InvalidProfileError, match="real numbers: could not convert"):
+        LoadProfile(site_id="x", t0=0.0, dt=1.0, samples="abc")
 
 
 @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "0", True])

@@ -18,10 +18,11 @@ from hessplit import (
     write_report_json,
 )
 from hessplit import metrics, report
-from hessplit.classify import ClassificationReport
+from hessplit.errors import MalformedReportError
 from hessplit.metrics import ProfileMetrics, compute_metrics
 from hessplit.profiles import ResolutionVerdict, profile_to_csv
 from hessplit.report import AnalysisReport, report_from_dict, report_to_dict
+from hessplit.rules import ClassificationReport
 from hessplit.transient import Histogram, SymmetryReport
 
 
@@ -146,6 +147,18 @@ def test_json_round_trip_through_stream(busy_profile):
     write_report_json(rep, buf)
     buf.seek(0)
     assert read_report_json(buf).metrics == rep.metrics
+
+
+def test_read_report_json_rejects_what_is_not_a_report(busy_profile):
+    for text, match in [('{"a": 1}', "report has no field 'site_id'"),
+                        ("[]", "report must be a JSON object"), ("{", "not a JSON report")]:
+        with pytest.raises(MalformedReportError, match=match):
+            read_report_json(io.StringIO(text))
+    # a nested error keeps the path of the field that holds it
+    d = report_to_dict(analyze_profile(busy_profile))
+    d["classification"]["sc_relevance"] = "Huge"
+    with pytest.raises(MalformedReportError, match=r"^bad field report\.classification\.sc_rel"):
+        read_report_json(io.StringIO(json.dumps(d)))
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -131,8 +131,11 @@ def test_histogram_symmetric_range_is_abs_max(values):
 
 
 def test_histogram_rejects_values_and_ranges_it_cannot_bin():
-    for values in ([np.nan, 1.0], [1.0, -np.inf], [np.inf]):
+    for values in ([np.nan, 1.0], [1.0, -np.inf], [np.inf], [1.0, None]):
         with pytest.raises(NonFiniteValuesError, match="NaN or infinite"):
+            histogram(values, bins=5)
+    for values in (np.array([1 + 5j, 2j, 3.0]), [1 + 5j, None], "abc"):
+        with pytest.raises(NonFiniteValuesError, match="must be real numbers"):
             histogram(values, bins=5)
     with pytest.raises(NonFiniteValuesError, match="wider than a float"):
         histogram([-1.7e308, 1.7e308], bins=5)
