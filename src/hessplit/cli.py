@@ -218,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zero negative powers instead of rejecting them")
 
     p = sub.add_parser("analyze", help="full analysis report as JSON")
+    p.set_defaults(handler=_cmd_analyze)
     add_input(p)
     p.add_argument("--manifest", action="store_true",
                    help="treat input as a JSON catalog manifest")
@@ -227,12 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("dispatch", help="simulate the power split, write trace + summary")
+    p.set_defaults(handler=_cmd_dispatch)
     add_input(p)
     p.add_argument("--config", help=f"JSON config (default: ${CONFIG_ENV_VAR} or built-ins)")
     p.add_argument("--trace", help="write per-step trace CSV here")
     p.add_argument("--out", help="summary JSON path (default: stdout)")
 
     p = sub.add_parser("sweep", help="dispatch across a threshold range, write table CSV")
+    p.set_defaults(handler=_cmd_sweep)
     add_input(p)
     p.add_argument("--range", required=True, metavar="LO:HI:STEP",
                    help="inclusive threshold range, e.g. 0.5:0.9:0.1")
@@ -240,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="sweep CSV path (default: stdout)")
 
     p = sub.add_parser("ups", help="outage coverage feasibility for a time window")
+    p.set_defaults(handler=_cmd_ups)
     add_input(p)
     p.add_argument("--start", type=float, required=True, help="outage start, seconds from t0")
     p.add_argument("--duration", type=float, required=True, help="outage length in seconds")
@@ -260,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="feasibility JSON path (default: stdout)")
 
     p = sub.add_parser("synth", help="generate a synthetic profile CSV (+ event log)")
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--kind", required=True, choices=["municipal", "machine", "ev_park"])
     p.add_argument("--out", required=True, help="profile CSV path")
     p.add_argument("--events", help="also write the generator event log JSON here")
@@ -279,21 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "dispatch": _cmd_dispatch,
-    "sweep": _cmd_sweep,
-    "ups": _cmd_ups,
-    "synth": _cmd_synth,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _warn
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except (HessplitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

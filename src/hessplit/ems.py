@@ -216,6 +216,10 @@ class UtilizationStats:
     grid_peak_reduction_fraction: float
 
 
+#: The float arrays of a :class:`DispatchResult`, in the order of its trace CSV.
+_TRACE_FIELDS = ("p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh", "soc_vrfb_kwh")
+
+
 @dataclass(frozen=True, eq=False)
 class DispatchResult:
     """Per-step traces of a dispatch run plus its summary.
@@ -244,8 +248,7 @@ class DispatchResult:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned):
-        freeze_arrays(self, np.float64, "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                      "soc_sc_kwh", "soc_vrfb_kwh", copy=not _owned)
+        freeze_arrays(self, np.float64, *_TRACE_FIELDS, copy=not _owned)
         freeze_arrays(self, bool, "flag_sc", "engaged_sc", copy=not _owned)
 
     @property
@@ -673,11 +676,8 @@ def _fill_repeats(
     a, b, a)``, and the powers are compared by their bits. A step is
     rejected where a SoC clamp binds or where ``need > u``. Where the check
     holds the step is the contract's step, so the longest such prefix is
-    written into ``out`` in place.
-
-    A kept step has the guessed ``p_sc``, so outside recharging its VRFB
-    target and clamped power are scalars, checked before any array is
-    built: a window that fails at once, such as on an empty VRFB, is cheap.
+    written into ``out`` in place. A kept step has the guessed ``p_sc``, so
+    outside recharging its VRFB target is a scalar.
     """
     end = same.find(0, i, i + _REPEAT_WINDOW)
     if end < 0:
@@ -686,13 +686,6 @@ def _fill_repeats(
     p_sc, p_v, soc_sc, soc_v = out[:, i - 1].tolist()
     cap_sc, eff_sc = dev.sc_energy_kwh, dev.sc_efficiency
     cap_v, eff_v, pow_v = dev.vrfb_energy_kwh, dev.vrfb_efficiency, dev.vrfb_power_kw
-    if m != _RECHARGE:
-        target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
-        if 0.0 > target:
-            target = 0.0
-        if _bits(_vrfb_clamps(target, p_v, pow_v, q)) != _bits(p_v):
-            return i
-
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, nan
         d_sc = (p_sc / eff_sc if p_sc >= 0.0 else p_sc * eff_sc) * step_kwh
         d_v = (p_v / eff_v if p_v >= 0.0 else p_v * eff_v) * step_kwh
@@ -715,15 +708,13 @@ def _fill_repeats(
             r_v = dev.vrfb_recharge_kw
             room = (cap_v - v0) / step_kwh / eff_v
             target = np.where(sc0 >= cap_sc, -np.where(room < r_v, room, r_v), 0.0)
-            ok &= _bits(_vrfb_clamps(target, p_v, pow_v, q)) == _bits(p_v)
-        elif m == _ENGAGED:
-            x = p_load - thr_kw
-            if 0.0 > x:
-                x = 0.0
-            if dev.sc_power_kw < x:
-                x = dev.sc_power_kw
-            avail = sc0 / step_kwh * eff_sc
-            ok &= _bits(np.where(avail < x, avail, x)) == _bits(p_sc)
+        else:
+            if m == _ENGAGED:
+                x = min(max(p_load - thr_kw, 0.0), dev.sc_power_kw)
+                avail = sc0 / step_kwh * eff_sc
+                ok &= _bits(np.where(avail < x, avail, x)) == _bits(p_sc)
+            target = max(p_load - max(p_sc, 0.0) - rth_kw, 0.0)
+        ok &= _bits(_vrfb_clamps(target, p_v, pow_v, q)) == _bits(p_v)
         if p_v > 0.0:  # so is the clamped power of every step kept
             if math.isinf(q):
                 need = p_v
@@ -881,14 +872,12 @@ def make_ups_scenario(
 def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> None:
     """Write the per-step trace as CSV.
 
-    Columns: ``t,p_load_kw,p_grid_kw,p_sc_kw,p_vrfb_kw,soc_sc_kwh,
-    soc_vrfb_kwh,flag_sc`` with ``t`` in seconds from the run start.
+    Columns: ``t`` in seconds from the run start, the float arrays in field
+    order, and ``flag_sc`` as 0 or 1.
     """
-    r = result
-    write_csv(target, ["t", "p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                       "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"], [
-        r.times(), r.p_load_kw, r.p_grid_kw, r.p_sc_kw, r.p_vrfb_kw,
-        r.soc_sc_kwh, r.soc_vrfb_kwh, r.flag_sc.astype(np.int8),
+    write_csv(target, ("t", *_TRACE_FIELDS, "flag_sc"), [
+        result.times(), *(getattr(result, name) for name in _TRACE_FIELDS),
+        result.flag_sc.astype(np.int8),
     ])
 
 
@@ -897,13 +886,11 @@ def write_sweep_csv(
 ) -> None:
     """Write a threshold sweep table as CSV.
 
-    Columns: ``threshold,sc_engaged_fraction,sc_energy_share,
-    vrfb_energy_share,grid_peak_kw``.
+    Columns: ``threshold``, then each :class:`UtilizationStats` field but
+    ``grid_peak_reduction_fraction``.
     """
+    names = ("sc_engaged_fraction", "sc_energy_share", "vrfb_energy_share", "grid_peak_kw")
     table = np.array([
-        [thr, stats.sc_engaged_fraction, stats.sc_energy_share,
-         stats.vrfb_energy_share, stats.grid_peak_kw]
-        for thr, stats in rows
-    ], dtype=np.float64).reshape(-1, 5)  # an empty sweep still has five columns
-    write_csv(target, ["threshold", "sc_engaged_fraction", "sc_energy_share",
-                       "vrfb_energy_share", "grid_peak_kw"], table.T)
+        [thr, *(getattr(stats, name) for name in names)] for thr, stats in rows
+    ], dtype=np.float64).reshape(-1, 1 + len(names))  # an empty sweep still has its columns
+    write_csv(target, ("threshold", *names), table.T)

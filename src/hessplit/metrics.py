@@ -83,19 +83,14 @@ def check_integer(value, name: str) -> None:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def base_load_estimate(
-    norm: NormalizedProfile,
-    *,
-    bins: int = BASE_LOAD_BINS,
-    peak_band: float = PEAK_BAND_PU,
-) -> float:
+def base_load_estimate(norm: NormalizedProfile, *, bins: int = BASE_LOAD_BINS) -> float:
     """Most frequent per-unit level below the peak band.
 
     Histograms the pu series over [0, 1] and returns the center of the
-    fullest bin among those whose center lies below ``peak_band``. Ties go
-    to the lower level. If no sample mass sits below the band at all, the
-    estimate degenerates to 1.0 and a :class:`DegenerateBaseLoadWarning`
-    is emitted.
+    fullest bin among those whose center lies below :data:`PEAK_BAND_PU`.
+    Ties go to the lower level. If no sample mass sits below the band at
+    all, the estimate degenerates to 1.0 and a
+    :class:`DegenerateBaseLoadWarning` is emitted.
     """
     check_integer(bins, "bins")
     if bins < 10:
@@ -105,14 +100,12 @@ def base_load_estimate(
             f"base-load estimate needs at least one sample per bin "
             f"({norm.n_samples} samples < {bins} bins)"
         )
-    if not 0.0 < peak_band <= 1.0:
-        raise InvalidConfigError(f"peak_band must lie in (0, 1], got {peak_band}")
     counts, edges = np.histogram(norm.pu, bins=bins, range=(0.0, 1.0))
     centers = (edges[:-1] + edges[1:]) / 2.0
-    below = centers < peak_band
+    below = centers < PEAK_BAND_PU
     if not np.any(counts[below] > 0):
         warnings.warn(
-            f"profile {norm.site_id!r} has no samples below {peak_band} pu; "
+            f"profile {norm.site_id!r} has no samples below {PEAK_BAND_PU} pu; "
             "base-load estimate degenerates to the peak",
             DegenerateBaseLoadWarning,
         )
@@ -179,12 +172,7 @@ class ProfileMetrics:
     energy_above_base_pu_h: float
 
 
-def compute_metrics(
-    profile: LoadProfile,
-    *,
-    bins: int = BASE_LOAD_BINS,
-    peak_band: float = PEAK_BAND_PU,
-) -> ProfileMetrics:
+def compute_metrics(profile: LoadProfile, *, bins: int = BASE_LOAD_BINS) -> ProfileMetrics:
     """Normalize a profile and derive its summary metrics.
 
     Peak statistics are taken at the estimated base-load level, so
@@ -193,14 +181,12 @@ def compute_metrics(
     estimate degenerates to 1.0 (nothing below the peak band) the peak
     statistics fall back to level 0 so they stay defined.
     """
-    return _compute_metrics(profile, normalize(profile), bins, peak_band)
+    return _compute_metrics(profile, normalize(profile), bins)
 
 
-def _compute_metrics(
-    profile: LoadProfile, norm: NormalizedProfile, bins: int, peak_band: float = PEAK_BAND_PU
-) -> ProfileMetrics:
+def _compute_metrics(profile: LoadProfile, norm: NormalizedProfile, bins: int) -> ProfileMetrics:
     """:func:`compute_metrics` of a profile whose normalized form is ``norm``."""
-    base = base_load_estimate(norm, bins=bins, peak_band=peak_band)
+    base = base_load_estimate(norm, bins=bins)
     peaks = peak_stats(norm, base) if base < 1.0 else peak_stats(norm, 0.0)
     return ProfileMetrics(
         site_id=profile.site_id,

@@ -600,13 +600,9 @@ class LoadProfile:
     def __eq__(self, other):
         if not isinstance(other, LoadProfile):
             return NotImplemented
-        return (
-            self.site_id == other.site_id
-            and self.category_hint == other.category_hint
-            and self.t0 == other.t0
-            and self.dt == other.dt
-            and np.array_equal(self.samples, other.samples)
-        )
+        # np.array_equal compares samples elementwise and any other field by ==
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def n_samples(self) -> int:

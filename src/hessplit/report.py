@@ -154,14 +154,29 @@ def report_from_dict(d: dict) -> AnalysisReport:
     return _typed(AnalysisReport, d)
 
 
+#: The JSON type each plain field type of a report is read from.
+_JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+               list: "an array"}
+
+
 def _typed(tp, value, path: str = "report"):
     """``value`` read back as type ``tp``, by the field types of each dataclass.
-    A value that does not fit raises ``MalformedReportError`` naming its ``path``."""
+    A value that does not fit raises ``MalformedReportError`` naming its ``path``.
+
+    A ``float`` is any JSON number and is stored as a float; a bool is no number."""
     if get_origin(tp) is Union:  # Optional[X]; the reports hold no other union
         if value is None:
             return None
         (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    kind = get_origin(tp) or tp  # list for list[str]
     try:
+        if kind in _JSON_TYPES:
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise MalformedReportError(f"{path} must be {_JSON_TYPES[kind]}, got {value!r:.40}")
+            if kind is list:  # the rationale, a list[str]
+                return [_typed(get_args(tp)[0], v, f"{path}[{k}]") for k, v in enumerate(value)]
+            return float(value) if kind is float else value  # an int past the float range overflows
         if is_dataclass(tp):
             if not isinstance(value, dict):
                 raise MalformedReportError(f"{path} must be a JSON object, got {value!r:.40}")
@@ -175,7 +190,7 @@ def _typed(tp, value, path: str = "report"):
             return Relevance[value.upper()]
         if isinstance(tp, EnumMeta):
             return tp(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedReportError(f"bad field {path}: {exc!r}") from None
     return value  # a list goes to Histogram as it is: its fields freeze it to typed arrays
 

@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidSpecError
-from .profiles import SC_MAX_DT_S, LoadProfile
+from .profiles import SC_MAX_DT_S, LoadProfile, freeze_numbers
 
 SECONDS_PER_DAY = 86400.0
 #: Most samples one spec may ask for: a year at 1 s.
@@ -40,6 +40,9 @@ MAX_SAMPLES = 31_536_000
 #: Most charging sessions one ``EvParkSpec`` may expect (rate x span); the
 #: generator loops once per session, about 20 us each.
 MAX_SESSIONS = 100_000
+#: Most ramp events one ``MunicipalSpec`` may expect (rate x days); each tries
+#: up to 1000 isolated starts, about 5 ms once the profile has no room left.
+MAX_EVENTS = 1000
 
 
 def _n_samples(days: int, dt: float) -> int:
@@ -47,10 +50,9 @@ def _n_samples(days: int, dt: float) -> int:
 
 
 def _check_common(days: int, dt: float, seed: int, name: str) -> None:
-    if not (isinstance(days, int) and days >= 1):
-        raise InvalidSpecError(f"{name}: days must be an integer >= 1, got {days!r}")
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidSpecError(f"{name}: seed must be an integer >= 0, got {seed!r}")
+    for field, value, least in (("days", days, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+            raise InvalidSpecError(f"{name}: {field} must be an integer >= {least}, got {value!r}")
     if not 0.0 < dt <= SC_MAX_DT_S:
         raise InvalidSpecError(
             f"{name}: dt must be in (0, {SC_MAX_DT_S:g}] s so outputs stay "
@@ -88,6 +90,9 @@ class MunicipalSpec:
     scale_kw: float = 100.0
 
     def __post_init__(self):
+        freeze_numbers(self, InvalidSpecError, self._check)
+
+    def _check(self):
         _check_common(self.days, self.dt, self.seed, "municipal")
         if not 0.0 < self.base_pu < self.peak_pu <= 1.0:
             raise InvalidSpecError(
@@ -99,6 +104,11 @@ class MunicipalSpec:
             raise InvalidSpecError("municipal: event widths must satisfy 0 < lo <= hi < inf")
         if not self.scale_kw > 0.0:
             raise InvalidSpecError("municipal: scale_kw must be > 0")
+        if not (math.isfinite(self.peak_hour) and 0.0 < self.peak_width_h < math.inf):
+            raise InvalidSpecError("municipal: need a finite peak_hour and 0 < peak_width_h < inf")
+        if not 0.0 <= self.events_per_day <= MAX_EVENTS / self.days:
+            raise InvalidSpecError(f"municipal: events_per_day x days must lie in "
+                                   f"[0, {MAX_EVENTS}], got {self.events_per_day} x {self.days}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see the module docstring
@@ -166,6 +176,9 @@ class MachineSpec:
     scale_kw: float = 10.0
 
     def __post_init__(self):
+        freeze_numbers(self, InvalidSpecError, self._check)
+
+    def _check(self):
         _check_common(self.days, self.dt, self.seed, "machine")
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise InvalidSpecError(f"machine: duty_cycle must be in [0, 1], got {self.duty_cycle}")
@@ -239,6 +252,9 @@ class EvParkSpec:
     taper_duration_s: float = 600.0
 
     def __post_init__(self):
+        freeze_numbers(self, InvalidSpecError, self._check)
+
+    def _check(self):
         _check_common(self.days, self.dt, self.seed, "ev_park")
         if not 0.0 <= self.arrival_rate_per_h < math.inf:
             raise InvalidSpecError("ev_park: arrival_rate_per_h must be finite and >= 0")

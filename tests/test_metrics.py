@@ -97,8 +97,8 @@ def test_base_load_parameter_validation():
     norm = normalize(_profile(np.linspace(1.0, 10.0, 100)))
     with pytest.raises(InvalidConfigError):
         base_load_estimate(norm, bins=5)
-    with pytest.raises(InvalidConfigError):
-        base_load_estimate(norm, peak_band=0.0)
+    with pytest.raises(TypeError):  # the band is PEAK_BAND_PU, not a parameter
+        base_load_estimate(norm, peak_band=0.5)
     with pytest.raises(InvalidConfigError):
         base_load_estimate(normalize(_profile([1.0, 2.0])), bins=100)
     for bins in (10.5, 20.0, "20", True):

@@ -178,6 +178,20 @@ def test_round_trip_survives_awkward_floats(rng):
     assert parse_profile(profile_to_csv(p), site_id="x") == p
 
 
+def test_profile_equality_compares_every_field():
+    p = LoadProfile(site_id="a", t0=10.0, dt=1.0, samples=[1.0, 0.0, 2.0],
+                    category_hint=Category.PS)
+    assert p == dataclasses.replace(p) and not p != dataclasses.replace(p)
+    for changes in ({"site_id": "b"}, {"category_hint": Category.UPS}, {"t0": 11.0},
+                    {"dt": 2.0}, {"samples": [1.0, 0.5, 2.0]}, {"samples": [1.0, 0.0]},
+                    {"samples": [1.0, 0.0, 2.0, 2.0]}):
+        assert p != dataclasses.replace(p, **changes), changes
+    assert p == dataclasses.replace(p, samples=[1.0, -0.0, 2.0])  # as np.array_equal
+    for other in (None, "a", 1.0, [1.0, 0.0, 2.0]):
+        assert (p == other) is False
+        assert (p != other) is True
+
+
 def test_write_profile_csv_to_path(tmp_path, make_profile):
     p = make_profile([1.0, 2.0, 3.0])
     path = tmp_path / "out.csv"

@@ -23,6 +23,7 @@ from hessplit.metrics import ProfileMetrics, compute_metrics
 from hessplit.profiles import ResolutionVerdict, profile_to_csv
 from hessplit.report import AnalysisReport, report_from_dict, report_to_dict
 from hessplit.rules import ClassificationReport
+from hessplit.synth import MachineSpec, generate
 from hessplit.transient import Histogram, SymmetryReport
 
 
@@ -159,6 +160,29 @@ def test_read_report_json_rejects_what_is_not_a_report(busy_profile):
     d["classification"]["sc_relevance"] = "Huge"
     with pytest.raises(MalformedReportError, match=r"^bad field report\.classification\.sc_rel"):
         read_report_json(io.StringIO(json.dumps(d)))
+    # a leaf of another JSON type than its field's is no report either
+    machine = report_to_dict(analyze_profile(generate(MachineSpec(days=1))[0]))
+    for keys, value, match in [
+            (("metrics", "load_factor"), "high", r"report\.metrics\.load_factor must be a number"),
+            (("site_id",), 5, r"report\.site_id must be a string"),
+            (("resolution", "sc_suitable"), "no", r"sc_suitable must be true or false"),
+            (("metrics", "dt"), True, r"report\.metrics\.dt must be a number"),
+            (("metrics", "peak_count"), 3.0, r"report\.metrics\.peak_count must be an integer"),
+            (("load_hist", "total"), False, r"report\.load_hist\.total must be an integer"),
+            (("classification", "rationale"), ["x", 1], r"rationale\[1\] must be a string"),
+            (("classification", "rationale"), "x", r"rationale must be an array"),
+            (("metrics", "energy_kwh"), 10 ** 400, r"^bad field report\.metrics\.energy_kwh")]:
+        edited = json.loads(json.dumps(machine))
+        *parents, key = keys
+        leaf = edited
+        for name in parents:
+            leaf = leaf[name]
+        leaf[key] = value
+        with pytest.raises(MalformedReportError, match=match):
+            read_report_json(io.StringIO(json.dumps(edited)))
+    # an integer in a float field is a number, read back as a float
+    machine["metrics"]["dt"] = 1
+    assert repr(read_report_json(io.StringIO(json.dumps(machine))).metrics.dt) == "1.0"
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -21,7 +21,7 @@ from hessplit import (
 )
 from hessplit import synth
 from hessplit.errors import AllZeroProfileError, InvalidSpecError
-from hessplit.synth import MAX_SAMPLES, MAX_SESSIONS, _taper_head
+from hessplit.synth import MAX_EVENTS, MAX_SAMPLES, MAX_SESSIONS, _taper_head
 
 
 def test_generators_are_deterministic():
@@ -74,12 +74,36 @@ def test_spec_validation():
         EvParkSpec(arrival_rate_per_h=-1.0)
     with pytest.raises(InvalidSpecError):
         EvParkSpec(taper_duration_s=-5.0)
+    # days takes the integer rule of seed: a bool is no integer, a numpy integer is one
+    for spec in (MunicipalSpec, MachineSpec, EvParkSpec):
+        for name in ("days", "seed"):
+            with pytest.raises(InvalidSpecError, match=f"{name} must be an integer"):
+                spec(**{name: True})
+            with pytest.raises(InvalidSpecError, match=f"{name} must be an integer"):
+                spec(**{name: 2.0})
+        assert spec(days=np.int64(2), seed=np.int64(3)).days == 2
+    # a float field holds a real number, stored as a float
+    with pytest.raises(InvalidSpecError, match="noise_sigma must be a number"):
+        MunicipalSpec(noise_sigma="0.1")
+    with pytest.raises(InvalidSpecError, match="scale_kw must be a number"):
+        MachineSpec(scale_kw=True)
+    assert repr(EvParkSpec(dt=np.float32(0.5)).dt) == "0.5"
+    with pytest.raises(InvalidSpecError, match="peak_width_h"):
+        MunicipalSpec(peak_width_h=0.0)  # the evening bump would divide by zero
+    with pytest.raises(InvalidSpecError, match="peak_width_h"):
+        MunicipalSpec(peak_width_h=-1.0)
+    with pytest.raises(InvalidSpecError, match="events_per_day"):
+        MunicipalSpec(events_per_day=-0.5)
+    MunicipalSpec(days=2, events_per_day=MAX_EVENTS / 2)  # exactly at the bound: accepted
 
 
 @pytest.mark.parametrize("make", [
     lambda v: MunicipalSpec(noise_sigma=v),
     lambda v: MunicipalSpec(event_height_pu=v),
     lambda v: MunicipalSpec(scale_kw=v),
+    lambda v: MunicipalSpec(peak_hour=v),
+    lambda v: MunicipalSpec(peak_width_h=v),
+    lambda v: MunicipalSpec(events_per_day=v),
     lambda v: MachineSpec(spike_duration_s=v),
     lambda v: MachineSpec(scale_kw=v),
     lambda v: EvParkSpec(arrival_rate_per_h=v),
@@ -98,6 +122,11 @@ def test_spec_rejects_nan(make):
     lambda: MunicipalSpec(event_width_s_hi=math.inf),  # rng.uniform would overflow
     lambda: MachineSpec(cycle_s_hi=math.inf),
     lambda: EvParkSpec(constant_s_hi=math.inf),
+    lambda: MunicipalSpec(peak_hour=math.inf),
+    lambda: MunicipalSpec(peak_width_h=math.inf),
+    lambda: MunicipalSpec(events_per_day=math.inf),
+    lambda: MunicipalSpec(events_per_day=1e5),  # each event tries up to 1000 starts
+    lambda: MunicipalSpec(days=2, events_per_day=MAX_EVENTS / 2 + 0.5),
 ])
 def test_spec_rejects_unbounded_durations_and_rates(make):
     with pytest.raises(InvalidSpecError):
