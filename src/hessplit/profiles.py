@@ -105,35 +105,28 @@ def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lamb
     The fields are those annotated ``float`` or ``Optional[float]``. Each
     must hold a real number; a bool, a non-real or an int or ``Fraction``
     beyond float range raises ``error``, and ``None`` passes where it is
-    the default. ``check`` then validates the values as given, so its
-    messages show them as the caller wrote them, and only then is each
-    stored as ``float(v)``. From there on ``5``, ``5.0``, ``np.float32(5.0)``
-    and ``Fraction(5)`` are one value to every expression that reads it.
+    the default. Each is stored as ``float(v)`` before ``check`` runs, so
+    the check reads, and its messages show, the value the object keeps:
+    ``5``, ``5.0``, ``np.float32(5.0)`` and ``Fraction(5)`` are one value
+    to the check and to every expression that reads it later.
 
     An enum field is one whose default is an enum member. It takes a member
     or a member's value and stores the member; anything else raises ``error``.
     """
     for f in fields(obj):
+        v = getattr(obj, f.name)
         if isinstance(f.default, Enum):
-            enum, v = type(f.default), getattr(obj, f.name)
             try:
-                object.__setattr__(obj, f.name, enum(v))
+                object.__setattr__(obj, f.name, type(f.default)(v))
             except ValueError:
-                values = [m.value for m in enum]
+                values = [m.value for m in type(f.default)]
                 raise error(f"{f.name} must be one of {values}, got {v!r}") from None
-    floats = [f for f in fields(obj) if f.type in ("float", "Optional[float]")]
-    for f in floats:
-        v = getattr(obj, f.name)
-        if v is None and f.default is None:
-            continue
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or isinstance(v, numbers.Rational) and abs(v) > sys.float_info.max):
-            raise error(f"{f.name} must be a number, got {v!r}")
-    check()
-    for f in floats:
-        v = getattr(obj, f.name)
-        if v is not None:
+        elif f.type in ("float", "Optional[float]") and not (v is None and f.default is None):
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or isinstance(v, numbers.Rational) and abs(v) > sys.float_info.max):
+                raise error(f"{f.name} must be a number, got {v!r}")
             object.__setattr__(obj, f.name, float(v))
+    check()
 
 
 #: Rows per block of :func:`csv_bytes`. This bounds a block's text and fields,
@@ -581,11 +574,10 @@ class LoadProfile:
             raise InvalidProfileError(f"t0 must be a finite number of seconds, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
-        dt = float(self.dt)  # a numpy scalar would compute in its own precision
-        if not math.isfinite(1.0 / dt):  # the derivative divides pu steps (<= 1) by dt
+        if not math.isfinite(1.0 / self.dt):  # the derivative divides pu steps (<= 1) by dt
             raise InvalidProfileError(f"dt={self.dt!r} s is too short: 1/dt overflows a float")
         with np.errstate(over="ignore"):  # an infinite timestamp fails the grid check
-            times = _sample_times(float(self.t0), dt, arr.size)
+            times = _sample_times(self.t0, self.dt, arr.size)
         if not _uniform_grid(times):  # the canonical CSV would not read back
             raise InvalidProfileError(
                 f"t0={self.t0!r} and dt={self.dt!r} s do not give {arr.size} finite, evenly "
@@ -594,7 +586,7 @@ class LoadProfile:
             total = float(arr.sum())
         # Half the float range leaves room for the few ulps by which a rescaled
         # copy of the samples (dispatch's pu * P) may sum higher.
-        if not (total <= sys.float_info.max / 2 and math.isfinite(total * dt)):
+        if not (total <= sys.float_info.max / 2 and math.isfinite(total * self.dt)):
             raise InvalidProfileError("samples too large: their total energy overflows a float")
 
     def __eq__(self, other):

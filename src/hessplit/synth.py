@@ -58,9 +58,11 @@ def _check_common(days: int, dt: float, seed: int, name: str) -> None:
             f"{name}: dt must be in (0, {SC_MAX_DT_S:g}] s so outputs stay "
             f"usable for supercapacitor studies, got {dt}"
         )
-    # days > MAX_SAMPLES already exceeds the bound, and a huge int days would
-    # overflow the float product in _n_samples
-    if days > MAX_SAMPLES or _n_samples(days, dt) > MAX_SAMPLES:
+    # days > MAX_SAMPLES already exceeds the bound (a huge int days would
+    # overflow the float product in _n_samples), and so does a count that a
+    # tiny dt makes infinite (round() would raise on it)
+    if (days > MAX_SAMPLES or math.isinf(days * SECONDS_PER_DAY / dt)
+            or _n_samples(days, dt) > MAX_SAMPLES):
         raise InvalidSpecError(
             f"{name}: {days} days at dt={dt:g} s exceed {MAX_SAMPLES} samples"
         )
@@ -73,6 +75,8 @@ class MunicipalSpec:
     Levels are in shape units ("pu-like", peak at ``peak_pu``); the output is
     scaled by ``scale_kw``. ``event_height_pu`` is deliberately independent
     of ``noise_sigma`` so noise-free runs still contain the ramp events.
+    There is at least one ramp event: ``events_per_day * days``, rounded, or
+    one where that rounds to 0 (``events_per_day=0.0`` included).
     """
 
     days: int = 12
@@ -116,7 +120,8 @@ def gen_municipal(spec: MunicipalSpec) -> tuple[LoadProfile, list[dict]]:
     """Generate the plateau-with-evening-peak shape.
 
     The event log holds one ``ramp_event`` entry per injected rectangle with
-    its first elevated step, width, and height.
+    its first elevated step, width, and height; there is at least one ramp
+    event (see :class:`MunicipalSpec`).
     """
     rng = np.random.default_rng(spec.seed)
     n = _n_samples(spec.days, spec.dt)

@@ -589,7 +589,7 @@ def test_infinite_energy_with_empty_start_exits_2(capsys, tmp_path, profile_csv,
                          "--trace", str(trace))
     assert (code, out) == (2, "")
     assert err == (f"error: {dev}_initial_soc_fraction must be > 0 when {dev}_energy_kwh "
-                   "is infinite, got 0\n")
+                   "is infinite, got 0.0\n")
     assert not trace.exists()
 
 
@@ -739,6 +739,17 @@ def test_synth_sample_count_is_bounded(capsys, tmp_path, flags):
     assert peak < 1_000_000  # rejected before any sample array exists
 
 
+@pytest.mark.parametrize("kind", _SPECS)
+@pytest.mark.parametrize("dt", ["1e-305", "5e-324"])
+def test_synth_infinite_sample_count_exits_2(capsys, tmp_path, kind, dt):
+    # one day over such a dt is more samples than a float holds
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", "--kind", kind, "--dt", dt, "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind}: 1 days at dt=") and "exceed 31536000 samples" in err
+    assert not out_csv.exists()
+
+
 def test_synth_then_analyze(capsys, tmp_path):
     out_csv = tmp_path / "mach.csv"
     run(capsys, "synth", "--kind", "machine", "--out", str(out_csv))
@@ -831,7 +842,7 @@ def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, fla
     days=st.just("1") | st.sampled_from(["2", "0", "-1", str(10 ** 30), "1.5", "x"]),
     dt=st.floats(2.0, 10.0).map(str) | _FLAG_FLOATS.filter(
         lambda v: v in ("nan", "-inf", "x", "") or not 0.0 < float(v) < 2.0)
-    | st.sampled_from(["1e-9", "0.001"]),
+    | st.sampled_from(["1e-9", "0.001", "1e-305", "5e-324"]),
     seed=st.just("0") | st.sampled_from(["-1", "-9223372036854775808", str(10 ** 40), "1.5", "x"]),
 )
 @example(**_OVERFLOWING_SYNTH[0], days="1", dt="2.0", seed="0")
@@ -840,6 +851,8 @@ def test_no_analyze_flag_is_an_internal_error(capsys, tmp_path, profile_csv, fla
 @example(**_OVERFLOWING_SYNTH[3], days="1", dt="2.0", seed="0")
 @example(**_OVERFLOWING_SYNTH[4], days="1", dt="2.0", seed="0")
 @example(kind="machine", flags={}, days="1", dt="2.0", seed="-1")  # exit 3 when unchecked
+@example(kind="machine", flags={}, days="1", dt="1e-305", seed="0")  # an infinite count
+@example(kind="ev_park", flags={}, days="1", dt="5e-324", seed="0")
 def test_no_synth_flag_is_an_internal_error(capsys, tmp_path, kind, flags, days, dt, seed):
     if "--arrival-rate" in flags and flags["--arrival-rate"] not in ("x", ""):
         rate = float(flags["--arrival-rate"])

@@ -95,6 +95,10 @@ def test_spec_validation():
     with pytest.raises(InvalidSpecError, match="events_per_day"):
         MunicipalSpec(events_per_day=-0.5)
     MunicipalSpec(days=2, events_per_day=MAX_EVENTS / 2)  # exactly at the bound: accepted
+    # a dt so tiny that the sample count overflows to inf is over the bound too
+    for spec in (MunicipalSpec, MachineSpec, EvParkSpec):
+        with pytest.raises(InvalidSpecError, match=f"exceed {MAX_SAMPLES} samples"):
+            spec(dt=5e-324)
 
 
 @pytest.mark.parametrize("make", [
@@ -230,6 +234,17 @@ def test_municipal_event_log_matches_signal():
         jump_down = profile.samples[start + width - 1] - profile.samples[start + width]
         assert jump_up == pytest.approx(spec.event_height_pu * spec.scale_kw, abs=0.5)
         assert jump_down == pytest.approx(spec.event_height_pu * spec.scale_kw, abs=0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    MunicipalSpec(days=1, events_per_day=0.0),
+    MunicipalSpec(days=1),  # 0.25 x 1 rounds to 0
+    MunicipalSpec(days=2),  # 0.25 x 2 = 0.5 rounds to even, 0
+])
+def test_municipal_has_at_least_one_ramp_event(spec):
+    # the floor of one event is a rule: the benchmark's municipal inputs hold just that one
+    _, events = gen_municipal(spec)
+    assert [e["kind"] for e in events] == ["ramp_event"]
 
 
 @pytest.mark.parametrize("width_s", [86398.0, 1e9])
