@@ -143,14 +143,15 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     from .ems import dispatch, write_dispatch_csv
 
     cfg, dev = _load_config(args.config)
-    profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
-    result = dispatch(normalize(profile), cfg, dev)
-    if args.trace:
-        write_dispatch_csv(result, args.trace)
+    norm = normalize(parse_profile_file(args.input, clamp_negative=args.clamp_negative))
+    result = dispatch(norm, cfg, dev)
     summary = dataclasses.asdict(result.stats)
-    summary["site_id"] = profile.site_id
+    summary["site_id"] = norm.site_id
     summary["n_steps"] = result.n_steps
     summary["recharge_threshold"] = result.recharge_threshold
+    del norm  # the trace write needs only the result
+    if args.trace:
+        write_dispatch_csv(result, args.trace)
     write_json(summary, args.out or sys.stdout)
     return 0
 
@@ -160,8 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     cfg, dev = _load_config(args.config)
     thresholds = _parse_range(args.range)
-    profile = parse_profile_file(args.input, clamp_negative=args.clamp_negative)
-    rows = threshold_sweep(normalize(profile), thresholds, cfg, dev)
+    norm = normalize(parse_profile_file(args.input, clamp_negative=args.clamp_negative))
+    rows = threshold_sweep(norm, thresholds, cfg, dev)
     write_sweep_csv(rows, args.out or sys.stdout)
     return 0
 

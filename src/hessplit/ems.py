@@ -59,7 +59,8 @@ from .errors import (
 )
 from .metrics import NormalizedProfile, base_load_estimate
 from .profiles import (
-    SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, freeze_arrays, freeze_numbers, write_csv,
+    SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, _sample_times, freeze_arrays, freeze_numbers,
+    write_csv,
 )
 from .transient import derivative
 
@@ -257,7 +258,7 @@ class DispatchResult:
 
     def times(self) -> np.ndarray:
         """Seconds from the start of the run, one entry per step."""
-        return np.arange(self.n_steps) * self.dt
+        return _sample_times(0.0, self.dt, self.n_steps)
 
 
 def _sustainable_power(u: float, q: float) -> float:
@@ -587,15 +588,23 @@ def _run(
 def _summarize(
     load: np.ndarray, engaged: np.ndarray, out: np.ndarray, p_max: float
 ) -> tuple[np.ndarray, UtilizationStats]:
-    """The grid slack ``(p_load - p_sc) - p_vrfb`` of a :func:`_run`, and its summary."""
+    """The grid slack ``(p_load - p_sc) - p_vrfb`` of a :func:`_run`, and its summary.
+
+    One buffer holds each per-step temporary in turn: the discharge part of
+    ``p_sc``, then of ``p_vrfb``, each summed, then the grid it returns.
+    """
     sc, vrfb = out[0], out[1]
-    grid = (load - sc) - vrfb
+    buf = np.clip(sc, 0.0, None)
+    sc_out = buf.sum()
+    vrfb_out = np.clip(vrfb, 0.0, None, out=buf).sum()
+    grid = np.subtract(load, sc, out=buf)
+    grid -= vrfb
     load_energy = float(load.sum())
     grid_peak = float(grid.max())
     return grid, UtilizationStats(
         sc_engaged_fraction=float(np.mean(engaged)),
-        sc_energy_share=float(np.clip(sc, 0.0, None).sum() / load_energy),
-        vrfb_energy_share=float(np.clip(vrfb, 0.0, None).sum() / load_energy),
+        sc_energy_share=float(sc_out / load_energy),
+        vrfb_energy_share=float(vrfb_out / load_energy),
         grid_peak_kw=grid_peak,
         grid_peak_reduction_fraction=(p_max - grid_peak) / p_max,
     )
@@ -834,7 +843,7 @@ def make_ups_scenario(
             f"outside profile span [0, {span}) s"
         )
 
-    offsets = np.arange(profile.n_samples) * profile.dt
+    offsets = _sample_times(0.0, profile.dt, profile.n_samples)
     in_window = (offsets >= outage_start_s) & (offsets < outage_start_s + outage_duration_s)
     demand = np.where(in_window, profile.samples, 0.0)
 

@@ -378,13 +378,13 @@ def _may_table(keys: np.ndarray) -> bool:
     column with at most ``n // _TABLE_FRACTION`` distinct values.
 
     Two gates on the sample alone spare the sort of most columns that cannot
-    qualify; ``np.unique`` decides the rest. The sample must not be nearly
-    all distinct, and the bias-corrected Chao1 estimate of the column's
-    distinct values, ``d + f1 (f1 - 1) / (2 (f2 + 1))`` with ``f1`` and
-    ``f2`` the sample's values seen once and twice, must not exceed the
-    table threshold. A column that mixes one frequent value with values
-    seen once (a dispatch trace's grid or battery power) passes the first
-    gate, and the second catches it.
+    qualify; one sorted copy of the keys and a byte mask decide the rest.
+    The sample must not be nearly all distinct, and the bias-corrected Chao1
+    estimate of the column's distinct values, ``d + f1 (f1 - 1) / (2 (f2 + 1))``
+    with ``f1`` and ``f2`` the sample's values seen once and twice, must not
+    exceed the table threshold. A column that mixes one frequent value with
+    values seen once (a dispatch trace's grid or battery power) passes the
+    first gate, and the second catches it.
     """
     n = len(keys)
     sample = keys[:: n // _TABLE_SAMPLE].tolist()
@@ -405,16 +405,14 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     :data:`CSV_BLOCK_ROWS` values is keyed by its bits: a float column by
     its ``int64`` view, so ``-0.0`` and ``0.0`` stay apart and so do NaN
     payloads, an integer column as it is. If :func:`_may_table` lets it
-    through and ``np.unique`` then finds at most ``n // _TABLE_FRACTION``
-    distinct keys, the rows come from a table: the fields of each key's
-    first occurrence, left-aligned, looked up one block at a time with
-    ``np.searchsorted``. Every other column renders each block's values.
+    through and a sort of the keys then finds at most ``n // _TABLE_FRACTION``
+    distinct ones, the rows come from a table: the fields of the distinct
+    keys read back as values, left-aligned, looked up one block at a time
+    with ``np.searchsorted``. Every other column renders each block's values.
     Other dtypes raise ``TypeError``.
 
     Deciding on a table costs memory in proportion to the whole column, not
-    to a block: ``np.unique(keys, return_index=True)`` sorts all ``n`` keys,
-    making a flattened copy of them, a mergesort argsort (``n`` int64
-    indices), a sorted copy and a boolean mask.
+    to a block: one sorted copy of the keys and a byte mask.
     """
     if col.dtype.kind == "f":
         col = col.astype(np.float64, copy=False)
@@ -430,10 +428,13 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     n = len(col)
     if n < CSV_BLOCK_ROWS or not _may_table(keys):
         return plain
-    distinct, first = np.unique(keys, return_index=True)
+    distinct = np.sort(keys)
+    run_start = np.ones(n, bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=run_start[1:])
+    distinct = distinct[run_start]
     if len(distinct) > n // _TABLE_FRACTION:
         return plain
-    table = _left_aligned(_fields(col[first]))
+    table = _left_aligned(_fields(distinct.view(col.dtype)))
 
     def tabled(s, e):
         return table[np.searchsorted(distinct, keys[s:e])]
@@ -449,7 +450,8 @@ def csv_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
     :func:`_column_renderer`. A block is one matrix of bytes: each column's
     fields in a run of byte columns, NUL where a field has no byte, then a
     separator column, with ``\r\n`` after the last field. One boolean
-    compaction, which drops the NUL bytes, turns it into the block's bytes.
+    compaction, which drops the NUL bytes, turns it into the block's bytes;
+    the fields are released before it, so a block's text is all it holds.
     A long column with few distinct values (at most one per
     :data:`_TABLE_FRACTION` rows) takes its bytes from a table of each
     distinct value's field, rendered once; every other column renders each
@@ -469,6 +471,7 @@ def csv_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
             text[:, at:at + w] = field
             text[:, at + w] = ord(",")
             at += w + 1
+        del fields, field  # the compaction below needs only the text
         text[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
         yield text[text != 0].tobytes()
 

@@ -621,11 +621,12 @@ def _traced_peak(fn) -> int:
 
 
 def test_dispatch_memory_per_step_is_bounded():
-    # The traces go into preallocated float64 arrays: the peak is about 100
-    # bytes per step (load, grid and four traces, their frozen copies, the
-    # flags). Per-step Python floats kept in lists took over 200.
+    # The traces go into preallocated float64 arrays, adopted as they are:
+    # the peak is about 52 bytes per step (load, four traces, one summary
+    # buffer that becomes the grid, the flags). A second grid temporary and
+    # two clip temporaries took 59; per-step Python floats in lists over 200.
     norm = normalize(gen_machine(MachineSpec(days=1))[0])
-    assert _traced_peak(lambda: dispatch(norm)) < 120 * norm.n_samples
+    assert _traced_peak(lambda: dispatch(norm)) < 56 * norm.n_samples
 
 
 @pytest.fixture(scope="module", params=[MunicipalSpec(days=1), MachineSpec(days=1)],
@@ -649,6 +650,26 @@ def test_analyze_memory_per_sample_is_bounded(day_csv):
     # exists. Copying each and hashing last took 55-58.
     profile = parse_profile_file(day_csv)
     assert _traced_peak(lambda: analyze_profile(profile)) < 44 * profile.n_samples
+
+
+def test_trace_write_memory_per_step_is_bounded(day_csv, tmp_path):
+    # about 29 (machine) and 40 (municipal) bytes per step: the time column,
+    # the int8 flags, one sorted copy of a tabled column's keys with its byte
+    # mask, and one block's text. np.unique's argsort and copies and the
+    # block's fields held through its compaction took 35 and 51.
+    res = dispatch(normalize(parse_profile_file(day_csv)))
+    trace = tmp_path / "t.csv"
+    assert _traced_peak(lambda: write_dispatch_csv(res, trace)) < 45 * res.n_steps
+
+
+def test_cli_dispatch_trace_memory_per_step_is_bounded(day_csv, tmp_path):
+    # about 78 (machine) and 91 (municipal) bytes per step: the parse, then
+    # the dispatch and its trace write, with the profile dropped once
+    # normalized and the per-unit series before the write. Keeping both
+    # through the write took 96 and 110.
+    argv = ["dispatch", str(day_csv), "--trace", str(tmp_path / "t.csv"),
+            "--out", str(tmp_path / "d.json")]
+    assert _traced_peak(lambda: cli.main(argv)) < 100 * 86_400
 
 
 def test_analyze_manifest_memory_does_not_grow_with_entries(tmp_path):
@@ -689,7 +710,9 @@ def test_sweep_memory_does_not_grow_with_thresholds():
     five = _traced_peak(lambda: threshold_sweep(norm, [0.5, 0.6, 0.7, 0.8, 0.9]))
     # one array of a byte per step kept per threshold would show here
     assert five < one + norm.n_samples
-    assert five < 80 * norm.n_samples  # one set of traces, no DispatchResult
+    # one set of traces and one summary buffer, no DispatchResult: about 51;
+    # a grid and two clip temporaries per threshold took 58
+    assert five < 56 * norm.n_samples
 
 
 # --- reserve helpers ---

@@ -152,9 +152,9 @@ def test_long_low_cardinality_columns_are_tabled(monkeypatch):
 
 def forbid_sort(monkeypatch):
     def no_sort(*args, **kwargs):
-        raise AssertionError("np.unique called")
+        raise AssertionError("np.sort called")
 
-    monkeypatch.setattr(np, "unique", no_sort)
+    monkeypatch.setattr(np, "sort", no_sort)
 
 
 def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
@@ -202,8 +202,8 @@ def test_archetype_traces_sort_only_the_columns_they_table(monkeypatch, spec, so
     expected = res.n_steps * (1 + len(columns) - len(sorted_columns)) + sum(
         len(np.unique(keys[name])) for name in sorted_columns)  # -0.0 is its own key
     sorts, rendered = [], []
-    unique, fields = np.unique, profiles._fields
-    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    sort, fields = np.sort, profiles._fields
+    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
     monkeypatch.setattr(profiles, "_fields", lambda v: rendered.append(len(v)) or fields(v))
     write_dispatch_csv(res, io.StringIO())
     assert (len(sorts), sum(rendered)) == (len(sorted_columns), expected)
