@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 #: Each public name, under the submodule that defines it.
 _EXPORTS = {
     "ems": [
-        "DeviceParams", "DispatchResult", "EmsConfig", "EngageMode", "FlagSeries", "Limiting",
-        "UpsScenario", "UtilizationStats", "compute_flags", "dispatch", "make_ups_scenario",
-        "threshold_sweep", "write_dispatch_csv", "write_sweep_csv",
+        "DeviceParams", "DispatchResult", "EmsConfig", "EngageMode", "Limiting", "UpsScenario",
+        "UtilizationStats", "dispatch", "make_ups_scenario", "threshold_sweep",
+        "write_dispatch_csv", "write_sweep_csv",
     ],
     "errors": ["HessplitError"],
     "metrics": [
@@ -33,9 +33,9 @@ _EXPORTS = {
         "compute_metrics", "load_factor", "normalize", "peak_stats",
     ],
     "profiles": [
-        "CatalogEntry", "Category", "LoadProfile", "ResolutionVerdict", "load_catalog",
-        "parse_profile", "parse_profile_file", "read_catalog", "resample",
-        "validate_resolution", "write_profile_csv",
+        "CatalogEntry", "Category", "LoadProfile", "ResolutionVerdict", "parse_profile",
+        "parse_profile_file", "read_catalog", "resample", "validate_resolution",
+        "write_profile_csv",
     ],
     "report": ["AnalysisReport", "analyze_profile", "read_report_json", "write_report_json"],
     "rules": ["ClassificationReport", "Relevance", "RuleThresholds", "classify"],

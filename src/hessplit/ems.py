@@ -1,4 +1,4 @@
-"""Threshold-based energy management: flags, power split, sweeps, outages.
+"""Threshold-based energy management: power split, sweeps, outages.
 
 The rule is deliberately simple. Load above ``sc_threshold`` of the profile
 peak is supercapacitor (SC) territory; the flow battery (VRFB) serves the
@@ -8,7 +8,7 @@ battery has to ramp down slower than the load drops.
 
 The exact floating point expressions used per step are documented on
 :func:`dispatch` and are part of the behavioral contract. Dispatch computes
-in numpy whatever does not depend on the state: the load in kW, the flags,
+in numpy whatever does not depend on the state: the load in kW, the SC flag,
 the steep-derivative mask, each step's mode (recharge, engaged or idle) and,
 after the loop, the grid slack ``(p_load - p_sc) - p_vrfb``. numpy float64
 ``*``, ``-``, ``>`` and ``<`` round and compare exactly as Python floats do,
@@ -180,32 +180,6 @@ class DeviceParams:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class FlagSeries:
-    """Per-step component flags; exactly one of the two is set at each step."""
-
-    flag_sc: np.ndarray
-
-    def __post_init__(self):
-        freeze_arrays(self, bool, "flag_sc")
-
-    @property
-    def flag_vrfb(self) -> np.ndarray:
-        """``~flag_sc``, read-only: the battery's steps."""
-        vrfb = ~self.flag_sc
-        vrfb.flags.writeable = False
-        return vrfb
-
-
-def compute_flags(norm: NormalizedProfile, cfg: EmsConfig) -> FlagSeries:
-    """Evaluate the component flags: SC above the threshold, VRFB at or below.
-
-    The comparison is strict (``pu > sc_threshold``), so a sample exactly on
-    the threshold belongs to the battery. The two flags partition every step.
-    """
-    return FlagSeries(flag_sc=norm.pu > cfg.sc_threshold)
-
-
 @dataclass(frozen=True)
 class UtilizationStats:
     """Summary of one dispatch run."""
@@ -319,8 +293,9 @@ def dispatch(
     Per step ``t`` (``pu`` the per-unit series, ``P`` the profile peak in kW,
     ``d[t]`` the normalized forward derivative, 0 at the final step):
 
-    1. The SC engages iff ``pu[t] > sc_threshold`` or, in
-       ``THRESHOLD_OR_DERIVATIVE`` mode, ``|d[t]| > derivative_threshold``.
+    1. The SC engages iff ``pu[t] > sc_threshold`` (``flag_sc``; a sample exactly on
+       the threshold belongs to the battery) or, in ``THRESHOLD_OR_DERIVATIVE`` mode,
+       ``|d[t]| > derivative_threshold``.
     2. Recharge steps are those with ``pu[t] < r`` (the resolved recharge
        threshold); then the SC charges first and the VRFB only once the SC
        is already full at the step start.
@@ -477,7 +452,7 @@ def _run(
     thr_kw = cfg.sc_threshold * norm.base_power_kw
     rth_kw = rth * norm.base_power_kw
 
-    flag_sc = compute_flags(norm, cfg).flag_sc
+    flag_sc = norm.pu > cfg.sc_threshold
     engaged = flag_sc if steep is None else flag_sc | steep
     mode = engaged.astype(np.int8)  # _ENGAGED where engaged, else idle
     mode[norm.pu < rth] = _RECHARGE
@@ -769,7 +744,7 @@ def threshold_sweep(
     Each row equals ``dispatch(norm, replace(cfg, sc_threshold=t), dev).stats``.
     The load in kW, the steep-derivative mask and the base-load estimate do
     not depend on the threshold, so they are computed once for the whole
-    sweep; the flags, the recharge threshold and the loop run once per
+    sweep; the SC flag, the recharge threshold and the loop run once per
     threshold. All runs share one set of output arrays, and no
     :class:`DispatchResult` is built. A run whose recharge threshold has the
     previous run's bits simulates only the steps where the two thresholds
@@ -886,7 +861,7 @@ def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> 
     """
     write_csv(target, ("t", *_TRACE_FIELDS, "flag_sc"), [
         result.times(), *(getattr(result, name) for name in _TRACE_FIELDS),
-        result.flag_sc.astype(np.int8),
+        result.flag_sc.view(np.int8),
     ])
 
 

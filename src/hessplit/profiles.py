@@ -476,11 +476,6 @@ def csv_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
         yield text[text != 0].tobytes()
 
 
-def csv_blocks(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
-    """The blocks of :func:`csv_bytes` as text."""
-    return (block.decode("utf-8") for block in csv_bytes(header, columns))
-
-
 def write_csv(
     target: Union[str, Path, IO], header: Sequence[str], columns: Sequence[np.ndarray]
 ) -> None:
@@ -496,14 +491,14 @@ def write_csv(
     from a table built once per distinct bit pattern: the same strings.
 
     A path is opened in binary mode, written those bytes and closed again;
-    an open file is written the text of :func:`csv_blocks` and left open.
+    an open file is written each block decoded as text and left open.
     """
     if isinstance(target, (str, Path)):
         with open(target, "wb") as fh:
             fh.writelines(csv_bytes(header, columns))
         return
-    for block in csv_blocks(header, columns):
-        target.write(block)
+    for block in csv_bytes(header, columns):
+        target.write(block.decode("utf-8"))
 
 
 def write_json(payload, target: Union[str, Path, IO]) -> None:
@@ -901,9 +896,9 @@ def validate_resolution(profile: LoadProfile) -> ResolutionVerdict:
 def resample(profile: LoadProfile, target_dt: float) -> LoadProfile:
     """Average a profile down to a coarser uniform grid.
 
-    Each output sample is the arithmetic mean of one window of input samples,
-    so peaks can only shrink. A trailing window with fewer than the full
-    number of input samples is dropped rather than padded.
+    Each output sample is the arithmetic mean of one window of input samples, so peaks can
+    only shrink; a short trailing window is dropped, not padded. No command calls it: it is
+    the library's one way to the coarser timescales of a multi-timescale study.
 
     Raises
     ------
@@ -973,20 +968,11 @@ def read_catalog(manifest_path: Union[str, Path]) -> list[CatalogEntry]:
     return entries
 
 
-def load_catalog(
-    manifest_path: Union[str, Path], *, clamp_negative: bool = False
-) -> list[LoadProfile]:
-    """Parse every profile referenced by a manifest.
-
-    Relative entry paths are resolved against the manifest's directory.
-    """
-    return list(_catalog_profiles(Path(manifest_path), clamp_negative))
-
-
 def _catalog_profiles(manifest_path: Path, clamp_negative: bool) -> Iterator[LoadProfile]:
     """Each profile of a manifest, parsed when it is reached: one is held at a time.
 
     The whole manifest is read and checked before the first profile is parsed.
+    Relative entry paths are resolved against the manifest's directory.
     """
     for entry in read_catalog(manifest_path):
         yield parse_profile_file(

@@ -26,7 +26,6 @@ from hessplit import (
     MunicipalSpec,
     Relevance,
     analyze_profile,
-    compute_flags,
     compute_metrics,
     dispatch,
     gen_ev_park,
@@ -81,21 +80,27 @@ def ev_profile():
     return _cache["ev"]
 
 
+def flag_sc(norm, thr):
+    """``dispatch(...).flag_sc`` at ``thr`` from the cheapest dispatch: the flag
+    depends neither on the engage mode nor on the recharge threshold."""
+    cfg = EmsConfig(sc_threshold=thr, recharge_threshold=0.0,
+                    sc_engage_mode=EngageMode.THRESHOLD_ONLY)
+    return dispatch(norm, cfg).flag_sc
+
+
 def test_criterion_1_flag_partition(capsys):
-    with criterion(capsys, 1, 1.0, "flags partition every step; boundary goes to the battery"):
+    with criterion(capsys, 1, 1.0, "the SC flag is pu > threshold; boundary goes to the battery"):
         rng = np.random.default_rng(101)
         for _ in range(1000):
             samples = rng.uniform(0.1, 10.0, size=40)
             norm = normalize(LoadProfile(site_id="r", t0=0.0, dt=1.0, samples=samples))
-            thr = float(rng.uniform(0.05, 0.95))
-            flags = compute_flags(norm, EmsConfig(sc_threshold=thr))
-            assert np.all(flags.flag_sc ^ flags.flag_vrfb)
-            # plant an exact boundary hit: a sample equal to the threshold
+            # plant an exact boundary hit: a threshold equal to a sample
             inner = np.flatnonzero((norm.pu > 0.0) & (norm.pu < 1.0))
             idx = int(inner[0])
-            boundary = compute_flags(norm, EmsConfig(sc_threshold=float(norm.pu[idx])))
-            assert not boundary.flag_sc[idx]
-            assert boundary.flag_vrfb[idx]
+            thr = float(norm.pu[idx])
+            flags = flag_sc(norm, thr)
+            assert flags.tolist() == [p > thr for p in norm.pu.tolist()]
+            assert not flags[idx]
 
 
 def test_criterion_2_scale_invariance(capsys):
@@ -122,8 +127,7 @@ def test_criterion_2_scale_invariance(capsys):
             assert m2.energy_above_base_pu_h == m1.energy_above_base_pu_h
 
             cfg = EmsConfig()
-            f1, f2 = compute_flags(n1, cfg), compute_flags(n2, cfg)
-            assert np.array_equal(f1.flag_sc, f2.flag_sc)
+            assert np.array_equal(dispatch(n1, cfg).flag_sc, dispatch(n2, cfg).flag_sc)
 
             reports = []
             for norm, metrics in ((n1, m1), (n2, m2)):

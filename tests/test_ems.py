@@ -26,7 +26,6 @@ from hessplit import (
     MachineSpec,
     MunicipalSpec,
     UtilizationStats,
-    compute_flags,
     dispatch,
     gen_machine,
     gen_municipal,
@@ -166,29 +165,20 @@ def test_recharge_threshold_resolution(rng):
 # --- flags ---
 
 def test_flags_threshold_is_strict():
-    flags = compute_flags(_norm([0.8, 0.81, 1.0]), EmsConfig())
-    assert np.array_equal(flags.flag_sc, [False, True, True])
-    assert np.array_equal(flags.flag_vrfb, [True, False, False])
+    flag_sc = dispatch(_norm([0.8, 0.81, 1.0]), NO_RECHARGE).flag_sc
+    assert np.array_equal(flag_sc, [False, True, True])
 
 
 @settings(max_examples=60)
-@given(
-    st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=2, max_size=100),
+@given(  # an all-zero profile has no load to split (AllZeroProfileError)
+    st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=2, max_size=100).filter(any),
     st.floats(0.01, 0.99),
 )
 def test_flags_partition_every_step(pu, thr):
-    flags = compute_flags(_norm(pu), EmsConfig(sc_threshold=thr))
-    assert np.all(flags.flag_sc ^ flags.flag_vrfb)
+    flag_sc = dispatch(_norm(pu), EmsConfig(sc_threshold=thr, recharge_threshold=0.0)).flag_sc
+    assert np.array_equal(flag_sc, [p > thr for p in pu])
     on_boundary = np.asarray(pu) == thr
-    assert np.all(flags.flag_vrfb[on_boundary])
-
-
-def test_flag_vrfb_is_the_read_only_complement():
-    flags = compute_flags(_norm([0.2, 0.9, 0.8, 1.0]), EmsConfig())
-    assert flags.flag_vrfb.tobytes() == (~flags.flag_sc).tobytes()
-    assert not flags.flag_vrfb.flags.writeable
-    with pytest.raises(ValueError):
-        flags.flag_vrfb[0] = False
+    assert not np.any(flag_sc[on_boundary])
 
 
 # --- dispatch stepping ---

@@ -21,7 +21,6 @@ from hessplit import (
     LoadProfile,
     analyze_profile,
     dispatch,
-    load_catalog,
     normalize,
     parse_profile,
     parse_profile_file,
@@ -40,7 +39,7 @@ from hessplit.errors import (
     NotAMultipleError,
     UpsamplingForbiddenError,
 )
-from hessplit.profiles import _parse_loadtxt, _parse_rows, profile_to_csv
+from hessplit.profiles import _catalog_profiles, _parse_loadtxt, _parse_rows, profile_to_csv
 from hessplit.report import report_to_dict
 
 
@@ -367,7 +366,7 @@ def test_catalog_manifest(tmp_path, make_profile):
     entries = read_catalog(manifest)
     assert entries[0].category_hint is Category.PS
     assert entries[1].category_hint is Category.UNKNOWN
-    profiles = load_catalog(manifest)
+    profiles = list(_catalog_profiles(manifest, False))
     assert [p.site_id for p in profiles] == ["a", "b"]
     assert profiles[0].category_hint is Category.PS
     assert np.array_equal(profiles[1].samples, b.samples)

@@ -24,7 +24,7 @@ from hessplit import (
     write_sweep_csv,
 )
 from hessplit import profiles
-from hessplit.profiles import CSV_BLOCK_ROWS, csv_blocks, profile_to_csv, write_csv
+from hessplit.profiles import CSV_BLOCK_ROWS, csv_bytes, profile_to_csv, write_csv
 from hessplit.synth import MachineSpec, MunicipalSpec, generate
 from hessplit.transient import histogram
 
@@ -71,7 +71,7 @@ def test_write_csv_matches_csv_writer(tmp_path, n):
     path = tmp_path / "out.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == expected.encode("utf-8")
-    assert len(list(csv_blocks(header, columns))) == 1 + -(-n // CSV_BLOCK_ROWS)
+    assert len(list(csv_bytes(header, columns))) == 1 + -(-n // CSV_BLOCK_ROWS)
 
 
 # NaNs with other sign and payload bits: each is its own table key, all print 'nan'
@@ -132,7 +132,7 @@ def count_rendered(monkeypatch, columns):
 
     monkeypatch.setattr(profiles, "_fields", counting_fields)
     header = [f"c{i}" for i in range(len(columns))]
-    text = "".join(csv_blocks(header, columns))
+    text = b"".join(csv_bytes(header, columns)).decode()
     monkeypatch.undo()
     assert_same_text(text, reference_csv(header, zip(*(c.tolist() for c in columns))))
     return sum(calls)
@@ -164,7 +164,7 @@ def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
     times = 1.6e9 + np.arange(n) * 0.5
     samples = rng.uniform(0.0, 250.0, size=n)
     samples[::64] = 7.0  # one row in 64 repeats a value: still nearly all distinct
-    assert "".join(csv_blocks(["t", "p"], [times, samples])).count("\r\n") == n + 1
+    assert b"".join(csv_bytes(["t", "p"], [times, samples])).decode().count("\r\n") == n + 1
 
 
 def test_one_frequent_value_among_distinct_ones_is_not_sorted(monkeypatch, rng):
@@ -258,7 +258,7 @@ def test_seeded_sweep_matches_repr():
     rng = np.random.default_rng(20261019)
     values = sweep_values(rng, 112_000)
     assert len(values) >= 1_000_000
-    got = "".join(csv_blocks(["x"], [values])).split("\r\n")[1:-1]
+    got = b"".join(csv_bytes(["x"], [values])).decode().split("\r\n")[1:-1]
     expected = list(map(repr, values.tolist()))
     if got != expected:
         bad = [(e, g) for e, g in zip(expected, got) if e != g]
