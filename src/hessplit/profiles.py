@@ -18,9 +18,9 @@ its value. Float fields come from a numpy kernel that computes the digits
 ``repr`` prints, block by block (:func:`_fixed_digits` holds the argument
 that they are exactly those digits); the few values it does not take, and
 integer columns, are given ``repr`` itself. A long column that repeats a
-few values (a dispatch trace's flags, powers and states) is rendered from a
-table holding each distinct value's field once. The text is the same either
-way, since equal bits give an equal ``repr``.
+few values (a dispatch trace's flags, powers and states) may be rendered
+from a table of its distinct fields, by the rule :func:`_column_renderer`
+states.
 
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
@@ -37,7 +37,6 @@ import numbers
 import os
 import sys
 import warnings
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, fields
 from datetime import datetime, timezone
@@ -130,11 +129,11 @@ def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lamb
 
 
 #: Rows per block of :func:`csv_bytes`. This bounds a block's text and fields,
-#: not a render: a tabled column is sorted whole (see :func:`_column_renderer`).
+#: not a render: deciding on a table sorts a whole column (see :func:`_column_renderer`).
 CSV_BLOCK_ROWS = 4096
-#: Values of a long column counted before it may be sorted for a table.
+#: Keys of a long column sampled before it may be sorted for a table.
 _TABLE_SAMPLE = 1024
-#: A column is tabled when it has at most ``n // _TABLE_FRACTION`` distinct values.
+#: A table holds at most one distinct value per this many rows.
 _TABLE_FRACTION = 8
 
 # Tables of the float kernel, indexed by the scale exponent j of _fixed_digits.
@@ -373,46 +372,27 @@ def _left_aligned(text: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _may_table(keys: np.ndarray) -> bool:
-    """Whether a strided sample of about :data:`_TABLE_SAMPLE` keys suggests a
-    column with at most ``n // _TABLE_FRACTION`` distinct values.
-
-    Two gates on the sample alone spare the sort of most columns that cannot
-    qualify; one sorted copy of the keys and a byte mask decide the rest.
-    The sample must not be nearly all distinct, and the bias-corrected Chao1
-    estimate of the column's distinct values, ``d + f1 (f1 - 1) / (2 (f2 + 1))``
-    with ``f1`` and ``f2`` the sample's values seen once and twice, must not
-    exceed the table threshold. A column that mixes one frequent value with
-    values seen once (a dispatch trace's grid or battery power) passes the
-    first gate, and the second catches it.
-    """
-    n = len(keys)
-    sample = keys[:: n // _TABLE_SAMPLE].tolist()
-    counts = Counter(sample)
-    if len(counts) * 8 > len(sample) * 7:  # more than 7 in 8 distinct
-        return False
-    seen = Counter(counts.values())
-    f1, f2 = seen[1], seen[2]
-    return len(counts) + f1 * (f1 - 1) / (2 * (f2 + 1)) <= n // _TABLE_FRACTION
-
-
 def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """A ``(start, end) -> text`` function giving the fields of rows
     ``start:end`` of one column as NUL-padded byte rows (see :func:`_fields`).
 
     A float column of any width is rendered as float64, whose ``tolist()``
-    scalars are the same Python floats. A column of at least
-    :data:`CSV_BLOCK_ROWS` values is keyed by its bits: a float column by
-    its ``int64`` view, so ``-0.0`` and ``0.0`` stay apart and so do NaN
-    payloads, an integer column as it is. If :func:`_may_table` lets it
-    through and a sort of the keys then finds at most ``n // _TABLE_FRACTION``
-    distinct ones, the rows come from a table: the fields of the distinct
-    keys read back as values, left-aligned, looked up one block at a time
-    with ``np.searchsorted``. Every other column renders each block's values.
-    Other dtypes raise ``TypeError``.
+    scalars are the same Python floats. Other dtypes raise ``TypeError``.
+
+    The table rule. A column of at least :data:`CSV_BLOCK_ROWS` values is
+    keyed by its bits: a float column by its ``int64`` view, so ``-0.0`` and
+    ``0.0`` stay apart and so do NaN payloads, an integer column as it is.
+    If more than 7 in 8 of a strided sample of about :data:`_TABLE_SAMPLE`
+    keys are distinct, the column is not sorted. Otherwise a sort of the keys
+    counts the distinct ones, and if there are at most ``n // _TABLE_FRACTION``
+    the rows come from a table: the fields of the distinct keys read back as
+    values, left-aligned, looked up one block at a time with
+    ``np.searchsorted``. Every other column renders each block's values.
+    Values with equal bits have equal fields, so a tabled row's text is its own.
 
     Deciding on a table costs memory in proportion to the whole column, not
-    to a block: one sorted copy of the keys and a byte mask.
+    to a block: one sorted copy of the keys and a byte mask. The distinct
+    keys are compacted only once the count has passed.
     """
     if col.dtype.kind == "f":
         col = col.astype(np.float64, copy=False)
@@ -426,14 +406,17 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
         return _fields(col[s:e])
 
     n = len(col)
-    if n < CSV_BLOCK_ROWS or not _may_table(keys):
+    if n < CSV_BLOCK_ROWS:
+        return plain
+    sample = keys[:: n // _TABLE_SAMPLE]
+    if len(set(sample.tolist())) * 8 > len(sample) * 7:  # more than 7 in 8 distinct
         return plain
     distinct = np.sort(keys)
     run_start = np.ones(n, bool)
     np.not_equal(distinct[1:], distinct[:-1], out=run_start[1:])
-    distinct = distinct[run_start]
-    if len(distinct) > n // _TABLE_FRACTION:
+    if np.count_nonzero(run_start) > n // _TABLE_FRACTION:
         return plain
+    distinct = distinct[run_start]
     table = _left_aligned(_fields(distinct.view(col.dtype)))
 
     def tabled(s, e):
@@ -452,11 +435,6 @@ def csv_bytes(header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[
     separator column, with ``\r\n`` after the last field. One boolean
     compaction, which drops the NUL bytes, turns it into the block's bytes;
     the fields are released before it, so a block's text is all it holds.
-    A long column with few distinct values (at most one per
-    :data:`_TABLE_FRACTION` rows) takes its bytes from a table of each
-    distinct value's field, rendered once; every other column renders each
-    value. Values with equal bits have equal fields, so the tabled text is
-    every row's own.
     """
     yield (",".join(header) + "\r\n").encode("utf-8")
     renderers = list(map(_column_renderer, columns))
@@ -487,8 +465,8 @@ def write_csv(
     every row ends in ``\r\n``: byte for byte what ``csv.writer`` writes for
     the same ``repr`` strings, none of which needs quoting. Header names are
     written as they are. The text comes from :func:`csv_bytes`, which
-    computes float fields in numpy and takes a long column's repeated values
-    from a table built once per distinct bit pattern: the same strings.
+    computes float fields in numpy and may take a column's fields from a
+    table (see :func:`_column_renderer`): the same strings.
 
     A path is opened in binary mode, written those bytes and closed again;
     an open file is written each block decoded as text and left open.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -167,14 +168,44 @@ def test_mostly_distinct_columns_are_not_sorted(monkeypatch, rng):
     assert b"".join(csv_bytes(["t", "p"], [times, samples])).decode().count("\r\n") == n + 1
 
 
-def test_one_frequent_value_among_distinct_ones_is_not_sorted(monkeypatch, rng):
+def count_sorts(monkeypatch) -> list:
+    """A list that gets one entry per ``np.sort`` call from here on."""
+    sorts, sort = [], np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+    return sorts
+
+
+def test_one_frequent_value_among_distinct_ones_is_sorted_once_not_tabled(monkeypatch, rng):
     # a trace column pinned at one value on half its steps: the sample is far
-    # from all distinct, but nearly every other value in it is seen once
+    # from all distinct, so the keys are sorted, and the count of nearly n / 2
+    # distinct ones refuses a table
     n = 3 * CSV_BLOCK_ROWS
     col = rng.uniform(0.0, 250.0, size=n)
     col[rng.random(n) < 0.5] = 50.0
-    forbid_sort(monkeypatch)
+    sorts = count_sorts(monkeypatch)
     assert count_rendered(monkeypatch, [col]) == n
+    assert len(sorts) == 1
+
+
+def test_deciding_against_a_table_holds_no_distinct_keys(rng):
+    # 40% one value, 30% from a pool of 200 and 30% distinct: the sample is
+    # far from all distinct, so the keys are sorted, and about 104,000
+    # distinct ones refuse a table (n // 8 is 43,200). Deciding holds the
+    # sorted keys and a byte mask, about 9 bytes per row; compacting the
+    # distinct keys before counting them took 11.4.
+    n = 345_600
+    col = rng.uniform(0.0, 250.0, size=n)
+    u = rng.random(n)
+    col[u < 0.4] = 50.0
+    pooled = u >= 0.7
+    col[pooled] = rng.choice(rng.uniform(0.0, 250.0, size=200), size=np.count_nonzero(pooled))
+    tracemalloc.start()
+    try:
+        profiles._column_renderer(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n
 
 
 def test_many_repeated_values_are_still_tabled(monkeypatch, rng):
@@ -185,25 +216,31 @@ def test_many_repeated_values_are_still_tabled(monkeypatch, rng):
     assert count_rendered(monkeypatch, [col]) == len(np.unique(col))
 
 
-@pytest.mark.parametrize("spec, sorted_columns", [
+TRACE_COLUMNS = ["p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh", "soc_vrfb_kwh",
+                 "flag_sc"]
+
+
+@pytest.mark.parametrize("spec, sorted_columns, tabled_columns", [
     # every trace column but t has few values
-    (MachineSpec(days=1, seed=11), ["p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw",
-                                    "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"]),
-    # p_grid_kw, p_vrfb_kw and soc_vrfb_kwh hold 62,264, 36,664 and 35,841
-    # distinct values, each mostly seen once: no table, and no sort either
-    (MunicipalSpec(days=1, seed=42), ["p_sc_kw", "soc_sc_kwh", "flag_sc"]),
-])
-def test_archetype_traces_sort_only_the_columns_they_table(monkeypatch, spec, sorted_columns):
+    (MachineSpec(days=1, seed=11), TRACE_COLUMNS, TRACE_COLUMNS),
+    # p_grid_kw, p_vrfb_kw and soc_vrfb_kwh pass the sample test, but hold
+    # 62,264, 36,664 and 35,841 distinct values, over n // 8 = 10,800: sorted,
+    # then not tabled; p_load_kw's sample is nearly all distinct, so no sort
+    (MunicipalSpec(days=1, seed=42),
+     ["p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh", "soc_vrfb_kwh", "flag_sc"],
+     ["p_sc_kw", "soc_sc_kwh", "flag_sc"]),
+], ids=["machine", "municipal"])
+def test_archetype_traces_sort_and_table_their_columns(monkeypatch, spec, sorted_columns,
+                                                       tabled_columns):
     res = dispatch(normalize(generate(spec)[0]))
     columns = {"p_load_kw": res.p_load_kw, "p_grid_kw": res.p_grid_kw, "p_sc_kw": res.p_sc_kw,
                "p_vrfb_kw": res.p_vrfb_kw, "soc_sc_kwh": res.soc_sc_kwh,
                "soc_vrfb_kwh": res.soc_vrfb_kwh, "flag_sc": res.flag_sc.astype(np.int8)}
     keys = {name: c.view(np.int64) if c.dtype == np.float64 else c for name, c in columns.items()}
-    expected = res.n_steps * (1 + len(columns) - len(sorted_columns)) + sum(
-        len(np.unique(keys[name])) for name in sorted_columns)  # -0.0 is its own key
-    sorts, rendered = [], []
-    sort, fields = np.sort, profiles._fields
-    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+    expected = res.n_steps * (1 + len(columns) - len(tabled_columns)) + sum(
+        len(np.unique(keys[name])) for name in tabled_columns)  # -0.0 is its own key
+    rendered, fields = [], profiles._fields
+    sorts = count_sorts(monkeypatch)
     monkeypatch.setattr(profiles, "_fields", lambda v: rendered.append(len(v)) or fields(v))
     write_dispatch_csv(res, io.StringIO())
     assert (len(sorts), sum(rendered)) == (len(sorted_columns), expected)
