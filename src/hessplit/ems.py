@@ -241,24 +241,23 @@ def _sustainable_power(u: float, q: float) -> float:
     Evaluated exactly as ``(u + q * (m * (m + 1) / 2.0)) / (m + 1)`` for the
     largest integer ``m`` with ``q * ((m + 1) * (m + 2) / 2.0) <= u``
     (contractual expression: reimplementations must round identically).
-    Infinite ``u`` means no energy limit; infinite ``q`` means the whole
-    charge is usable in one step.
+    ``m == 0`` returns ``u``, which the expression gives exactly for a
+    finite ``q``; an infinite ``q`` (the whole charge is usable in one step)
+    always has ``m == 0``. Infinite ``u`` means no energy limit.
     """
     if math.isinf(u):
         return math.inf
     if u <= 0.0:
         return 0.0
-    if math.isinf(q):
-        return u
     # The sqrt estimate is within a few steps of m while m < 2**53, and
     # dispatch never gets near that: |p| moves by at most q per step, so m
-    # stays below about twice the step count.
-    m = int(math.sqrt(2.0 * u / q))
+    # stays below about twice the step count. u / q is 0.0 for an infinite q.
+    m = int(math.sqrt(2.0 * (u / q)))
     while m > 0 and q * (m * (m + 1) / 2.0) > u:
         m -= 1
     while q * ((m + 1) * (m + 2) / 2.0) <= u:
         m += 1
-    return (u + q * (m * (m + 1) / 2.0)) / (m + 1)
+    return u if m == 0 else (u + q * (m * (m + 1) / 2.0)) / (m + 1)
 
 
 def resolve_recharge_threshold(norm: NormalizedProfile, cfg: EmsConfig) -> float:
@@ -329,14 +328,14 @@ def dispatch(
         charge target:    -min(vrfb_recharge_kw,
                                (vrfb_energy_kwh - soc_v) / step_kwh / eff)
                           (0.0 unless soc_sc >= sc_energy_kwh at step start)
-        discharge target: max(p_load - max(p_sc, 0.0) - rth_kw, 0.0)
+        discharge target: max(p_load - p_sc - rth_kw, 0.0)
+                          (p_sc is 0.0 when idle, else a min of terms >= 0.0)
         p = min(target, vrfb_power_kw); p = max(p, -vrfb_power_kw)
         p = min(p, prev + q);           p = max(p, prev - q)
         if p > 0.0:
             u = soc_v / step_kwh * eff
-            # need = sum(max(p - k*q, 0) for k >= 0): carry p, then ramp to 0
-            if q == inf: need = p
-            else:        m = int(p // q); need = (m + 1) * p - q * (m * (m + 1) / 2.0)
+            # need = sum(max(p - k*q, 0) for k >= 0): carry p, then ramp to 0 (p // inf is 0.0)
+            m = int(p // q); need = p if m == 0 else (m + 1) * p - q * (m * (m + 1) / 2.0)
             if need > u:
                 p = _sustainable_power(u, q); p = max(p, prev - q)
 
@@ -473,7 +472,6 @@ def _run(
         differs = ((mode != _RECHARGE) & (load >= prev_thr_kw)).tobytes()
         i = differs.find(1) if 1 in differs else n
     fills = thr_kw > 0.0
-    q_inf = math.isinf(q)
     same = _repeats(load, mode)
     while i < n:
         if i:
@@ -499,7 +497,7 @@ def _run(
                         p_sc = avail
                 else:
                     p_sc = 0.0
-                target = p_load - (0.0 if 0.0 > p_sc else p_sc) - rth_kw
+                target = p_load - p_sc - rth_kw
                 if 0.0 > target:
                     target = 0.0
             # nothing below reads the start-of-step soc_sc
@@ -519,13 +517,10 @@ def _run(
                 p_v = lo
             if p_v > 0.0:
                 u = soc_v / step_kwh * eff_v
-                if q_inf:  # the contract's need, for p_v > 0
-                    need = p_v
-                else:
-                    k = int(p_v // q)
-                    need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
+                k = int(p_v // q)
+                need = p_v if k == 0 else (k + 1) * p_v - q * (k * (k + 1) / 2.0)
                 if need > u:
-                    if u <= 0.0 and soc_v == 0.0 and prev_v == 0.0 and fills:
+                    if soc_v == 0.0 and prev_v == 0.0 and fills:
                         # Empty and at rest: this step ends with p_v = 0.0 and
                         # soc_v as it is, and the run after it is filled in numpy.
                         synced = (differs is not None and out[1:, i].tobytes()
@@ -697,14 +692,11 @@ def _fill_repeats(
                 x = min(max(p_load - thr_kw, 0.0), dev.sc_power_kw)
                 avail = sc0 / step_kwh * eff_sc
                 ok &= _bits(np.where(avail < x, avail, x)) == _bits(p_sc)
-            target = max(p_load - max(p_sc, 0.0) - rth_kw, 0.0)
+            target = max(p_load - p_sc - rth_kw, 0.0)
         ok &= _bits(_vrfb_clamps(target, p_v, pow_v, q)) == _bits(p_v)
         if p_v > 0.0:  # so is the clamped power of every step kept
-            if math.isinf(q):
-                need = p_v
-            else:
-                k = int(p_v // q)
-                need = (k + 1) * p_v - q * (k * (k + 1) / 2.0)
+            k = int(p_v // q)
+            need = p_v if k == 0 else (k + 1) * p_v - q * (k * (k + 1) / 2.0)
             ok &= v0 / step_kwh * eff_v >= need  # not need > u: u is never nan
 
     k = int(ok.argmin())

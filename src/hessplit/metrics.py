@@ -20,7 +20,7 @@ from .errors import (
     InvalidConfigError,
     InvalidProfileError,
 )
-from .profiles import LoadProfile, freeze_arrays, freeze_numbers
+from .profiles import LoadProfile, check_dt, freeze_arrays, freeze_numbers
 
 #: Per-unit level above which samples count as "peak region" rather than base.
 PEAK_BAND_PU = 0.8
@@ -36,6 +36,9 @@ class NormalizedProfile:
     exactly, because IEEE division of the maximum by itself is exact.
     ``base_power_kw`` is that maximum, kept to convert back to kilowatts.
     ``dt`` and ``base_power_kw`` are stored as floats.
+    ``pu`` and ``dt`` are checked as :class:`LoadProfile` checks its samples
+    and ``dt``, but the peak may be below 1; ``base_power_kw`` is positive
+    and finite.
     """
 
     site_id: str
@@ -46,7 +49,19 @@ class NormalizedProfile:
 
     def __post_init__(self, _owned):
         freeze_arrays(self, np.float64, "pu", copy=not _owned)
-        freeze_numbers(self, InvalidProfileError)
+        freeze_numbers(self, InvalidProfileError, self._check)
+
+    def _check(self):
+        pu = self.pu
+        if pu.ndim != 1 or pu.size < 2:
+            raise InvalidProfileError(f"pu must be 1-D with at least 2 samples, got shape {pu.shape}")
+        # min and max allocate nothing per sample, and a NaN fails both tests
+        if not (pu.min() >= 0.0 and pu.max() < np.inf):
+            raise InvalidProfileError("pu samples must all be finite and non-negative")
+        check_dt(self.dt)
+        if not 0.0 < self.base_power_kw < np.inf:
+            raise InvalidProfileError(
+                f"base_power_kw must be positive and finite, got {self.base_power_kw!r}")
 
     @property
     def n_samples(self) -> int:

@@ -548,10 +548,7 @@ class LoadProfile:
             raise InvalidProfileError("samples must be non-negative kilowatts")
         if not math.isfinite(self.t0):
             raise InvalidProfileError(f"t0 must be a finite number of seconds, got {self.t0}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidProfileError(f"dt must be a positive number of seconds, got {self.dt}")
-        if not math.isfinite(1.0 / self.dt):  # the derivative divides pu steps (<= 1) by dt
-            raise InvalidProfileError(f"dt={self.dt!r} s is too short: 1/dt overflows a float")
+        check_dt(self.dt)
         with np.errstate(over="ignore"):  # an infinite timestamp fails the grid check
             times = _sample_times(self.t0, self.dt, arr.size)
         if not _uniform_grid(times):  # the canonical CSV would not read back
@@ -588,6 +585,14 @@ class LoadProfile:
     def times(self) -> np.ndarray:
         """Epoch seconds of every sample."""
         return _sample_times(self.t0, self.dt, self.samples.size)
+
+
+def check_dt(dt: float) -> None:
+    """Reject a sample interval that is not positive or whose ``1 / dt`` overflows."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidProfileError(f"dt must be a positive number of seconds, got {dt}")
+    if not math.isfinite(1.0 / dt):  # the derivative divides pu steps (<= 1) by dt
+        raise InvalidProfileError(f"dt={dt!r} s is too short: 1/dt overflows a float")
 
 
 def _sample_times(t0: float, dt: float, n: int) -> np.ndarray:

@@ -64,7 +64,7 @@ def derivative(norm: NormalizedProfile) -> DerivativeSeries:
     """
     raw = np.diff(norm.pu)
     raw /= norm.dt
-    peak = _abs_max(raw) if raw.size else 0.0
+    peak = _abs_max(raw)
     normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
     return DerivativeSeries(raw=raw, normalized=normalized, dt=norm.dt, _owned=True)
 

@@ -459,8 +459,8 @@ def _negative_zero_sc_profile():
 
 
 def test_negative_zero_sc_power_matches_naive_oracle():
-    # the VRFB target subtracts max(p_sc, 0.0), which keeps a -0.0 p_sc:
-    # -0.0 - -0.0 is +0.0, so the VRFB serves +0.0 there, not -0.0
+    # the VRFB target subtracts a -0.0 p_sc as it is (so does the oracle's
+    # max(p_sc, 0.0)): -0.0 - -0.0 is +0.0, so the VRFB serves +0.0 there, not -0.0
     norm = _negative_zero_sc_profile()
     cfg = EmsConfig(sc_threshold=0.3, recharge_threshold=0.0)
     res = dispatch(norm, cfg)
@@ -733,11 +733,14 @@ def test_sustainable_power_inverts_stop_sum():
 
 
 def test_sustainable_power_matches_oracle_scan(rng):
+    inf = float("inf")
     cases = [(3.6e5, 1e-6), (3.0, 1.0), (6.0, 1.0), (6.0 - 1e-15, 1.0), (0.5, 1.0),
-             (1e-300, 1.0), (5e-324, 5e-324), (1.0, 0.1), (0.3, 0.1)]
+             (1e-300, 1.0), (5e-324, 5e-324), (1.0, 0.1), (0.3, 0.1),
+             (5.0, inf), (0.0, inf), (-0.0, 2.5), (-0.0, inf), (inf, inf),
+             (1.5e308, inf), (1.5e308, 1e308)]
     cases += [(10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 3)) for _ in range(300)]
-    for u, q in cases:
-        assert _sustainable_power(u, q) == _largest_sustainable(u, q), (u, q)
+    for u, q in cases:  # by the bits: -0.0 and 0.0 differ
+        assert _sustainable_power(u, q).hex() == _largest_sustainable(u, q).hex(), (u, q)
 
 
 # --- threshold sweep ---

@@ -18,7 +18,9 @@ from hessplit.errors import (
     AllZeroProfileError,
     DegenerateBaseLoadWarning,
     InvalidConfigError,
+    InvalidProfileError,
 )
+from hessplit.metrics import NormalizedProfile
 from hessplit.profiles import LoadProfile
 from conftest import dyadic_factor, dyadic_samples
 
@@ -56,6 +58,37 @@ def test_normalize_peak_is_exactly_one(samples):
     norm = normalize(_profile(samples))
     assert norm.pu.max() == 1.0  # x / x is exact in IEEE arithmetic
     assert norm.pu.min() >= 0.0
+
+
+_PU = np.linspace(0.0, 1.0, 200)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pu", np.where(_PU == _PU[57], np.nan, _PU)),
+    ("pu", np.where(_PU > 0.5, np.inf, _PU)),
+    ("pu", _PU - 0.25),
+    ("pu", _PU.reshape(100, 2)),
+    ("pu", _PU[:1]),
+    ("pu", np.float64(0.5)),
+    ("base_power_kw", np.inf),
+    ("base_power_kw", np.nan),
+    ("base_power_kw", 0.0),
+    ("dt", 0.0),
+    ("dt", -1.0),
+    ("dt", np.inf),
+    ("dt", np.nan),
+    ("dt", 1e-310),  # 1 / dt overflows
+], ids=["nan-sample", "inf-sample", "negative-sample", "2-d", "1-sample", "0-d",
+        "inf-base", "nan-base", "zero-base", "zero-dt", "negative-dt", "inf-dt", "nan-dt",
+        "tiny-dt"])
+def test_normalized_profile_rejects_what_dispatch_cannot_split(field, value):
+    # LoadProfile's rules for the samples and dt, plus a finite, positive base power;
+    # unchecked, dispatch gives NaN stats, a ZeroDivisionError, numpy's broadcast
+    # ValueError or a grid peak far above the load
+    kwargs = dict(site_id="t", dt=1.0, base_power_kw=10.0, pu=_PU)
+    kwargs[field] = value
+    with pytest.raises(InvalidProfileError):
+        NormalizedProfile(**kwargs)
 
 
 def test_load_factor():
