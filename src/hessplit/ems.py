@@ -59,8 +59,8 @@ from .errors import (
 )
 from .metrics import NormalizedProfile, base_load_estimate
 from .profiles import (
-    SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, _sample_times, freeze_arrays, freeze_numbers,
-    write_csv,
+    SC_MAX_DT_S, UPS_MAX_DT_S, LoadProfile, _sample_times, _TimeColumn, freeze_arrays,
+    freeze_numbers, write_csv,
 )
 from .transient import derivative
 
@@ -230,10 +230,6 @@ class DispatchResult:
     def n_steps(self) -> int:
         return int(self.p_load_kw.size)
 
-    def times(self) -> np.ndarray:
-        """Seconds from the start of the run, one entry per step."""
-        return _sample_times(0.0, self.dt, self.n_steps)
-
 
 def _sustainable_power(u: float, q: float) -> float:
     """Largest ``p`` whose wind-down sum ``need`` (see :func:`dispatch`) is ``<= u``.
@@ -384,8 +380,11 @@ def _prep(
         raise AllZeroProfileError(f"profile {norm.site_id!r} has no load in kW to split")
     steep = None
     if cfg.sc_engage_mode is EngageMode.THRESHOLD_OR_DERIVATIVE:
+        d, thr = derivative(norm).normalized, cfg.derivative_threshold
         steep = np.zeros(norm.n_samples, dtype=bool)
-        steep[:-1] = np.abs(derivative(norm).normalized) > cfg.derivative_threshold
+        # |d| > thr with no float copy of d: negation is exact, and NaN passes neither test
+        np.greater(d, thr, out=steep[:-1])
+        steep[:-1] |= d < -thr
     base = None if cfg.recharge_threshold is not None else base_load_estimate(norm)
     return load, steep, base
 
@@ -852,7 +851,8 @@ def write_dispatch_csv(result: DispatchResult, target: Union[str, Path, IO]) -> 
     order, and ``flag_sc`` as 0 or 1.
     """
     write_csv(target, ("t", *_TRACE_FIELDS, "flag_sc"), [
-        result.times(), *(getattr(result, name) for name in _TRACE_FIELDS),
+        _TimeColumn(0.0, result.dt, result.n_steps),
+        *(getattr(result, name) for name in _TRACE_FIELDS),
         result.flag_sc.view(np.int8),
     ])
 

@@ -20,7 +20,7 @@ from .errors import (
     InvalidConfigError,
     InvalidProfileError,
 )
-from .profiles import LoadProfile, check_dt, freeze_arrays, freeze_numbers
+from .profiles import CSV_BLOCK_ROWS, LoadProfile, check_dt, freeze_arrays, freeze_numbers
 
 #: Per-unit level above which samples count as "peak region" rather than base.
 PEAK_BAND_PU = 0.8
@@ -98,6 +98,22 @@ def check_integer(value, name: str) -> None:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def blocked_histogram(values: np.ndarray, bins, span) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram(values, bins, span)``, counted :data:`CSV_BLOCK_ROWS` values at a time.
+
+    ``bins`` is a bin count, with ``span`` the ``(lo, hi)`` range of the whole
+    series, or an array of edges, with ``span`` None. Every block is given the
+    same ``bins`` and ``span``, so its edges are those of one call over the whole
+    series and each value lands in the bin it lands in there: the block counts
+    add up to that call's counts, bit for bit. numpy's own temporaries are then
+    those of a block, not of its own blocks of 65,536 values.
+    """
+    counts, edges = np.histogram(values[:CSV_BLOCK_ROWS], bins, span)
+    for s in range(CSV_BLOCK_ROWS, len(values), CSV_BLOCK_ROWS):
+        counts += np.histogram(values[s:s + CSV_BLOCK_ROWS], bins, span)[0]
+    return counts, edges
+
+
 def base_load_estimate(norm: NormalizedProfile, *, bins: int = BASE_LOAD_BINS) -> float:
     """Most frequent per-unit level below the peak band.
 
@@ -115,7 +131,7 @@ def base_load_estimate(norm: NormalizedProfile, *, bins: int = BASE_LOAD_BINS) -
             f"base-load estimate needs at least one sample per bin "
             f"({norm.n_samples} samples < {bins} bins)"
         )
-    counts, edges = np.histogram(norm.pu, bins=bins, range=(0.0, 1.0))
+    counts, edges = blocked_histogram(norm.pu, bins, (0.0, 1.0))
     centers = (edges[:-1] + edges[1:]) / 2.0
     below = centers < PEAK_BAND_PU
     if not np.any(counts[below] > 0):

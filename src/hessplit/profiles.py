@@ -6,11 +6,12 @@ increasing on a uniform grid; powers are finite kilowatts.
 
 Parsing has two paths with one result. A seekable text source (a file opened
 by :func:`parse_profile_file`, or ``str``/``bytes`` input) is first read by
-``numpy.loadtxt`` and checked in numpy; anything that path cannot take as it
-is (ISO timestamps, quoting, a bad or odd row, a failed check) is re-read
-from the start by the row parser, which is the reference: it alone writes
-error messages, and it alone reads ISO timestamps. Other iterables of lines
-go to the row parser directly.
+``numpy.loadtxt`` and checked in numpy (a regular file's rows by its path,
+which numpy reads in chunks, not line by line); anything that path cannot
+take as it is (ISO timestamps, quoting, a bad or odd row, a failed check) is
+re-read from the start by the row parser, which is the reference: it alone
+writes error messages, and it alone reads ISO timestamps. Other iterables of
+lines go to the row parser directly.
 
 Every CSV this package writes is rendered by :func:`csv_bytes`, a few
 thousand rows at a time, from numpy columns. Each field is the ``repr`` of
@@ -20,7 +21,8 @@ that they are exactly those digits); the few values it does not take, and
 integer columns, are given ``repr`` itself. A long column that repeats a
 few values (a dispatch trace's flags, powers and states) may be rendered
 from a table of its distinct fields, by the rule :func:`_column_renderer`
-states.
+states. A time column (a profile's timestamps, a trace's ``t``) is never
+held whole: each block computes its own rows as :func:`_sample_times` does.
 
 A profile's sample interval decides which storage component can use it: the
 supercapacitor needs 10 s resolution or better, outage (UPS) studies need
@@ -35,6 +37,7 @@ import json
 import math
 import numbers
 import os
+import stat
 import sys
 import warnings
 from contextlib import contextmanager
@@ -128,8 +131,9 @@ def freeze_numbers(obj, error: type[Exception], check: Callable[[], None] = lamb
     check()
 
 
-#: Rows per block of :func:`csv_bytes`. This bounds a block's text and fields,
-#: not a render: deciding on a table sorts a whole column (see :func:`_column_renderer`).
+#: Rows per block of :func:`csv_bytes`, and values per block of
+#: ``metrics.blocked_histogram``. This bounds a block's text and fields, not a
+#: render: deciding on a table sorts a whole column (see :func:`_column_renderer`).
 CSV_BLOCK_ROWS = 4096
 #: Keys of a long column sampled before it may be sorted for a table.
 _TABLE_SAMPLE = 1024
@@ -372,12 +376,28 @@ def _left_aligned(text: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
+@dataclass(frozen=True)
+class _TimeColumn:
+    """The CSV column ``_sample_times(t0, dt, n)``, given to :func:`csv_bytes`
+    in place of the array: each block computes its own rows."""
+
+    t0: float
+    dt: float
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _column_renderer(col: Union[np.ndarray, _TimeColumn]) -> Callable[[int, int], np.ndarray]:
     """A ``(start, end) -> text`` function giving the fields of rows
     ``start:end`` of one column as NUL-padded byte rows (see :func:`_fields`).
 
     A float column of any width is rendered as float64, whose ``tolist()``
-    scalars are the same Python floats. Other dtypes raise ``TypeError``.
+    scalars are the same Python floats. A :class:`_TimeColumn` is rendered
+    from the block's own :func:`_sample_times`, the same floats as the
+    whole column's rows, and is never sorted or tabled. Other dtypes raise
+    ``TypeError``.
 
     The table rule. A column of at least :data:`CSV_BLOCK_ROWS` values is
     keyed by its bits: a float column by its ``int64`` view, so ``-0.0`` and
@@ -394,6 +414,8 @@ def _column_renderer(col: np.ndarray) -> Callable[[int, int], np.ndarray]:
     to a block: one sorted copy of the keys and a byte mask. The distinct
     keys are compacted only once the count has passed.
     """
+    if isinstance(col, _TimeColumn):
+        return lambda s, e: _fields(_sample_times(col.t0, col.dt, e, s))
     if col.dtype.kind == "f":
         col = col.astype(np.float64, copy=False)
         keys = col.view(np.int64)
@@ -582,10 +604,6 @@ class LoadProfile:
     def max_kw(self) -> float:
         return float(self.samples.max())
 
-    def times(self) -> np.ndarray:
-        """Epoch seconds of every sample."""
-        return _sample_times(self.t0, self.dt, self.samples.size)
-
 
 def check_dt(dt: float) -> None:
     """Reject a sample interval that is not positive or whose ``1 / dt`` overflows."""
@@ -595,9 +613,10 @@ def check_dt(dt: float) -> None:
         raise InvalidProfileError(f"dt={dt!r} s is too short: 1/dt overflows a float")
 
 
-def _sample_times(t0: float, dt: float, n: int) -> np.ndarray:
-    """``t0 + i * dt`` for every ``i < n``; each ``i`` is an exact float."""
-    times = np.arange(n, dtype=np.float64)
+def _sample_times(t0: float, dt: float, n: int, start: int = 0) -> np.ndarray:
+    """``t0 + i * dt`` for every ``start <= i < n``; each ``i`` is an exact
+    float, so a row's value does not depend on ``start``."""
+    times = np.arange(start, n, dtype=np.float64)
     times *= dt
     times += t0
     return times
@@ -652,12 +671,14 @@ def _text_lines(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Iterab
     """The source as lines of text.
 
     A binary file is wrapped in a decoder that is detached again on exit,
-    on success and on error, so the caller's file stays open.
+    on success and on error, so the caller's file stays open. ``str`` and
+    ``bytes`` end their lines where a file opened as :func:`parse_profile_file`
+    opens it does: at ``\n``, ``\r\n`` or a lone ``\r``.
     """
     if isinstance(source, bytes):
-        yield io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        yield io.StringIO(source)
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        yield io.StringIO(source, newline="")
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         wrapper = io.TextIOWrapper(source, encoding="utf-8")
         try:
@@ -701,18 +722,24 @@ def parse_profile(
     EmptyInputError, MalformedRowError, NonUniformGridError, NegativePowerError
     """
     with _text_lines(source) as lines:
-        parsed = None
-        start = _start_position(lines)
-        if start is not None:
-            parsed = _parse_loadtxt(lines, clamp_negative)
-            if parsed is None:
-                lines.seek(start)
-        if parsed is None:
-            parsed = _parse_rows(lines, clamp_negative)
-    t0, dt, samples = parsed
+        t0, dt, samples = _parse_text(lines, clamp_negative)
     return LoadProfile(
         site_id=site_id, category_hint=category_hint, t0=t0, dt=dt, samples=samples, _owned=True,
     )
+
+
+def _parse_text(
+    lines, clamp_negative: bool, path: Optional[str] = None
+) -> tuple[float, float, np.ndarray]:
+    """``(t0, dt, samples)`` by the numpy path where ``lines`` can take it, else by
+    the row parser from where ``lines`` stood; ``path`` as :func:`_parse_loadtxt` takes it."""
+    start = _start_position(lines)
+    if start is not None:
+        parsed = _parse_loadtxt(lines, clamp_negative, path)
+        if parsed is not None:
+            return parsed
+        lines.seek(start)
+    return _parse_rows(lines, clamp_negative)
 
 
 def _start_position(lines) -> Optional[int]:
@@ -726,22 +753,27 @@ def _start_position(lines) -> Optional[int]:
 
 
 def _parse_loadtxt(
-    fh: IO[str], clamp_negative: bool
+    fh: IO[str], clamp_negative: bool, path: Optional[str] = None
 ) -> Optional[tuple[float, float, np.ndarray]]:
     """``(t0, dt, samples)`` read by ``numpy.loadtxt``, or None to fall back.
 
     None whenever the header or any row is not plain epoch-second numbers
     that pass every check of :func:`_parse_rows`; the stream is then left
-    part-read.
+    part-read. The header is read from ``fh``; the rows from ``fh`` too, or,
+    given ``path`` (the file ``fh`` reads, see :func:`_loadtxt_path`), from
+    that path past its first line, which ``numpy.loadtxt`` reads in chunks
+    rather than line by line.
     """
     line = fh.readline()
     if tuple(h.strip().lstrip("\ufeff") for h in line.split(",")) != CSV_HEADER:
         return None
+    rows, skip = (fh, 0) if path is None else (path, 1)
     try:
         with warnings.catch_warnings():
             # a header-only file is the row parser's EmptyInputError
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            table = np.loadtxt(rows, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                               skiprows=skip, encoding="utf-8")
     except ValueError:
         return None
     if table.shape[1:] != (2,) or table.shape[0] < 2:
@@ -826,25 +858,46 @@ def parse_profile_file(
     category_hint: Category = Category.UNKNOWN,
     clamp_negative: bool = False,
 ) -> LoadProfile:
-    """Parse a profile CSV from disk; site_id defaults to the file stem."""
+    """Parse a profile CSV from disk; site_id defaults to the file stem.
+
+    As :func:`parse_profile` on the open file, except that the numpy path
+    reads the rows of a regular file by its path (see :func:`_loadtxt_path`).
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        return parse_profile(
-            fh,
-            site_id=path.stem if site_id is None else site_id,
-            category_hint=category_hint,
-            clamp_negative=clamp_negative,
-        )
+        t0, dt, samples = _parse_text(fh, clamp_negative, _loadtxt_path(fh, path))
+    return LoadProfile(
+        site_id=path.stem if site_id is None else site_id, category_hint=category_hint,
+        t0=t0, dt=dt, samples=samples, _owned=True,
+    )
+
+
+def _loadtxt_path(fh: IO[str], path: Path) -> Optional[str]:
+    """The absolute path ``numpy.loadtxt`` may read for ``fh``, or None.
+
+    Only a regular file qualifies (a second open of a FIFO or a device would
+    not read the same bytes), and only under a name whose suffix numpy's
+    ``DataSource`` would not decompress.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        return None
+    return os.path.abspath(path)
+
+
+def _profile_columns(profile: LoadProfile) -> tuple[_TimeColumn, np.ndarray]:
+    return _TimeColumn(profile.t0, profile.dt, profile.n_samples), profile.samples
 
 
 def write_profile_csv(profile: LoadProfile, target: Union[str, Path, IO]) -> None:
     """Serialize a profile to the standard CSV format (full float precision)."""
-    write_csv(target, CSV_HEADER, (profile.times(), profile.samples))
+    write_csv(target, CSV_HEADER, _profile_columns(profile))
 
 
 def profile_csv_bytes(profile: LoadProfile) -> Iterator[bytes]:
     """The canonical CSV of :func:`write_profile_csv`, as :func:`csv_bytes`."""
-    return csv_bytes(CSV_HEADER, (profile.times(), profile.samples))
+    return csv_bytes(CSV_HEADER, _profile_columns(profile))
 
 
 def profile_to_csv(profile: LoadProfile) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (EmptyValuesError, InvalidConfigError, NonFiniteValuesError,
                      NotSymmetricHistogramError)
-from .metrics import NormalizedProfile, check_integer
+from .metrics import NormalizedProfile, blocked_histogram, check_integer
 from .profiles import float_array, freeze_arrays, write_csv
 
 #: Default bin count for load-value histograms.
@@ -160,10 +160,10 @@ def histogram(
         grid = np.linspace(lo, hi, bins + 1)
         # mirror-average so edge i and edge n-i are exact negations of each
         # other; plain linspace leaves them a few ulp apart
-        counts, edges = np.histogram(arr, bins=(grid - grid[::-1]) / 2.0)
+        counts, edges = blocked_histogram(arr, (grid - grid[::-1]) / 2.0, None)
     else:
         try:  # numpy raises when the span is too narrow for increasing edges at its magnitude
-            counts, edges = np.histogram(arr, bins=bins, range=range)
+            counts, edges = blocked_histogram(arr, bins, (lo, hi))
         except ValueError:  # every other ValueError numpy raises is ruled out above
             raise InvalidConfigError(f"{bins} bins do not fit in [{lo!r}, {hi!r}]") from None
     return Histogram(edges=edges, counts=counts, total=int(arr.size), symmetric=symmetric)

@@ -635,31 +635,34 @@ def test_parse_memory_per_sample_is_bounded(day_csv):
 
 
 def test_analyze_memory_per_sample_is_bounded(day_csv):
-    # about 34 bytes per sample above the input: pu and the derivative, each
-    # adopted where it is built, with the input hash run before either
-    # exists. Copying each and hashing last took 55-58.
+    # about 26 (machine) and 29 (municipal) bytes per sample above the input:
+    # pu and the derivative, each adopted where it is built, with the input
+    # hash run before either exists and its time column computed per block.
+    # Copying each and hashing last took 55-58; the whole time column, 34.
     profile = parse_profile_file(day_csv)
-    assert _traced_peak(lambda: analyze_profile(profile)) < 44 * profile.n_samples
+    assert _traced_peak(lambda: analyze_profile(profile)) < 32 * profile.n_samples
 
 
 def test_trace_write_memory_per_step_is_bounded(day_csv, tmp_path):
-    # about 29 (machine) and 40 (municipal) bytes per step: the time column,
-    # the int8 flags, one sorted copy of a tabled column's keys with its byte
-    # mask, and one block's text. np.unique's argsort and copies and the
-    # block's fields held through its compaction took 35 and 51.
+    # about 20 (machine) and 31 (municipal) bytes per step: the int8 flags,
+    # one sorted copy of a tabled column's keys with its byte mask, and one
+    # block's text. The whole time column took 28 and 39; np.unique's
+    # argsort and copies and the block's fields held through its compaction
+    # took 35 and 51 before that.
     res = dispatch(normalize(parse_profile_file(day_csv)))
     trace = tmp_path / "t.csv"
-    assert _traced_peak(lambda: write_dispatch_csv(res, trace)) < 45 * res.n_steps
+    assert _traced_peak(lambda: write_dispatch_csv(res, trace)) < 36 * res.n_steps
 
 
 def test_cli_dispatch_trace_memory_per_step_is_bounded(day_csv, tmp_path):
-    # about 78 (machine) and 91 (municipal) bytes per step: the parse, then
+    # about 70 (machine) and 84 (municipal) bytes per step: the parse, then
     # the dispatch and its trace write, with the profile dropped once
-    # normalized and the per-unit series before the write. Keeping both
-    # through the write took 96 and 110.
+    # normalized and the per-unit series before the write. The write's whole
+    # time column took 78 and 92; keeping both series through the write, 96
+    # and 110.
     argv = ["dispatch", str(day_csv), "--trace", str(tmp_path / "t.csv"),
             "--out", str(tmp_path / "d.json")]
-    assert _traced_peak(lambda: cli.main(argv)) < 100 * 86_400
+    assert _traced_peak(lambda: cli.main(argv)) < 88 * 86_400
 
 
 def test_analyze_manifest_memory_does_not_grow_with_entries(tmp_path):

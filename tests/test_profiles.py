@@ -7,7 +7,9 @@ import gc
 import io
 import json
 import math
+import os
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +41,13 @@ from hessplit.errors import (
     NotAMultipleError,
     UpsamplingForbiddenError,
 )
-from hessplit.profiles import _catalog_profiles, _parse_loadtxt, _parse_rows, profile_to_csv
+from hessplit.profiles import (
+    _catalog_profiles,
+    _loadtxt_path,
+    _parse_loadtxt,
+    _parse_rows,
+    profile_to_csv,
+)
 from hessplit.report import report_to_dict
 
 
@@ -475,6 +483,66 @@ def test_undecodable_file_fails_as_row_parser(tmp_path, at):
     assert got[0] is UnicodeDecodeError
     with path.open("r", encoding="utf-8", newline="") as fh:
         assert got == _outcome(_reference(fh, False))
+
+
+def _write_source(tmp_path, kind, data):
+    """A file holding ``data`` that ``parse_profile_file`` opens: a regular
+    ``p.csv``, a regular (uncompressed) ``x.csv.gz``, or a FIFO that a thread
+    feeds, returned with that thread."""
+    if kind != "fifo":
+        path = tmp_path / kind
+        path.write_bytes(data)
+        return path, None
+    path = tmp_path / "p.fifo"
+    os.mkfifo(path)
+
+    def feed():
+        with path.open("wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:  # the reader stopped at a bad row
+                pass
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return path, writer
+
+
+@pytest.mark.parametrize("kind", ["p.csv", "x.csv.gz", "fifo"])
+@pytest.mark.parametrize("text,clamp", [c[1:3] for c in PARSE_CASES],
+                         ids=[c[0] for c in PARSE_CASES])
+def test_file_parse_matches_text_parse(tmp_path, kind, text, clamp):
+    # numpy reads a regular file's rows by its path; a name numpy would
+    # decompress and a FIFO take the open file, as any other source does
+    path, writer = _write_source(tmp_path, kind, text.encode("utf-8"))
+    got = _outcome(lambda: parse_profile_file(path, site_id="", clamp_negative=clamp))
+    if writer is not None:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert got == _outcome(lambda: parse_profile(text, clamp_negative=clamp))
+
+
+def test_only_a_regular_file_is_read_by_its_path(tmp_path):
+    data = (_HEAD + _ROWS).encode("utf-8")
+    for kind, by_path in [("p.csv", True), ("x.csv.gz", False), ("fifo", False)]:
+        path, writer = _write_source(tmp_path, kind, data)
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            assert (_loadtxt_path(fh, path) == str(path.resolve())) is by_path, kind
+            assert _parse_rows(fh, False)[0] == 1.6e9
+        if writer is not None:
+            writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("kind", ["p.csv", "x.csv.gz", "fifo"])
+@pytest.mark.parametrize("at", [4, 100, 15000, 150000])
+def test_undecodable_file_exits_2(capsys, tmp_path, kind, at):
+    # past 150,000 bytes the bad byte lies beyond numpy's first chunk
+    data = (_HEAD + _ROWS * 4000).encode("utf-8")
+    path, writer = _write_source(tmp_path, kind, data[:at] + b"\xff" + data[at:])
+    code = main(["analyze", str(path), "--out", str(tmp_path / "r.json")])
+    if writer is not None:
+        writer.join(timeout=10)
+    assert code == 2 and "utf-8" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 _CSV_FIELD = st.one_of(

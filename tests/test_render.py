@@ -362,3 +362,20 @@ def test_trace_sweep_and_histogram_match_old_writers(profile):
         ["bin_lo", "bin_hi", "count"],
         ([float(lo), float(hi), int(c)] for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts)),
     )
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.7e9])
+@pytest.mark.parametrize("dt", [0.1, 0.25, 10.0])
+def test_time_column_blocks_are_the_whole_column(t0, dt):
+    # each block's rows are np.arange(s, e) * dt + t0, bit for bit the rows
+    # of the whole column, so its text is the whole column's too
+    n = 3 * CSV_BLOCK_ROWS + 5
+    whole = profiles._sample_times(t0, dt, n)
+    starts = range(0, n, CSV_BLOCK_ROWS)
+    blocks = [profiles._sample_times(t0, dt, min(s + CSV_BLOCK_ROWS, n), s) for s in starts]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    by_formula = [np.arange(s, min(s + CSV_BLOCK_ROWS, n), dtype=np.float64) * dt + t0
+                  for s in starts]
+    assert np.concatenate(by_formula).tobytes() == whole.tobytes()
+    column = profiles._TimeColumn(t0, dt, n)
+    assert b"".join(csv_bytes(["t"], [column])) == b"".join(csv_bytes(["t"], [whole]))

@@ -18,8 +18,8 @@ from hessplit.errors import (
     NonFiniteValuesError,
     NotSymmetricHistogramError,
 )
-from hessplit.metrics import NormalizedProfile
-from hessplit.profiles import LoadProfile
+from hessplit.metrics import NormalizedProfile, blocked_histogram
+from hessplit.profiles import CSV_BLOCK_ROWS, LoadProfile
 from hessplit.transient import MAX_BINS, write_histogram_csv
 
 
@@ -315,3 +315,34 @@ def test_end_to_end_on_square_wave():
     rep = symmetry_report(h)
     assert rep.symmetry_index == pytest.approx(1.0, abs=0.05)
     assert rep.positive_tail_mass > 0.0 and rep.negative_tail_mass > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                          3 * CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS + 1]),
+       bins=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6),
+       case=st.sampled_from(["range", "data", "constant", "symmetric"]))
+def test_blocked_histogram_is_one_numpy_call(n, bins, seed, lo, width, case):
+    # counts and edges bit for bit those of one np.histogram over the series,
+    # with about half the values exactly on an edge, interior ones included
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(lo, lo + width, bins + 1)
+    if case == "symmetric":  # transient.histogram's mirrored edges
+        grid = np.linspace(-width, width, bins + 1)
+        edges = (grid - grid[::-1]) / 2.0
+    values = np.where(rng.random(n) < 0.5, rng.choice(edges, n),
+                      rng.uniform(edges[0], edges[-1], n))
+    if case == "constant":  # numpy's own range is then c - 0.5 to c + 0.5
+        values = np.full(n, lo)
+    if case == "symmetric":
+        expected = np.histogram(values, edges)
+        got = blocked_histogram(values, edges, None)
+    elif case == "range":
+        expected = np.histogram(values, bins, range=(lo, lo + width))
+        got = blocked_histogram(values, bins, (lo, lo + width))
+    else:
+        expected = np.histogram(values, bins)
+        got = blocked_histogram(values, bins, (float(values.min()), float(values.max())))
+    for g, e in zip(got, expected):
+        assert (g.dtype, g.tobytes()) == (e.dtype, e.tobytes())
