@@ -465,7 +465,7 @@ def _run(
     prev_v = 0.0
 
     w_sc, w_v, w_soc_sc, w_soc_v = map(memoryview, out)
-    loads, modes = memoryview(load), memoryview(mode.tobytes())
+    loads, modes = memoryview(load), memoryview(mode)
     i, n, differs = 0, mode.size, None
     if prev_thr_kw is not None:
         differs = ((mode != _RECHARGE) & (load >= prev_thr_kw)).tobytes()

@@ -168,11 +168,9 @@ def peak_stats(norm: NormalizedProfile, level: float) -> PeakStats:
     if not 0.0 <= level < 1.0:
         raise InvalidConfigError(f"peak level must be in [0, 1), got {level}")
     above = norm.pu > level
-    # run boundaries: +1 where a run starts, -1 one past where it ends
-    padded = np.diff(np.concatenate(([0], above.astype(np.int8), [0])))
-    starts = np.flatnonzero(padded == 1)
-    ends = np.flatnonzero(padded == -1)
-    lengths = ends - starts
+    # run boundaries alternate: where a run starts, then one past where it ends
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+    lengths = edges[1::2] - edges[::2]
     n = int(lengths.size)
     excess = norm.pu - level
     np.maximum(excess, 0.0, out=excess)

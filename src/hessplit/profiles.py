@@ -564,9 +564,11 @@ class LoadProfile:
             raise InvalidProfileError("samples must be a one-dimensional sequence")
         if arr.size < 2:
             raise InvalidProfileError("a load profile needs at least 2 samples")
-        if not np.all(np.isfinite(arr)):
+        # min and max allocate nothing per sample, and a NaN fails both tests
+        lo, hi = arr.min(), arr.max()
+        if not (lo > -np.inf and hi < np.inf):
             raise InvalidProfileError("samples must all be finite")
-        if np.any(arr < 0.0):
+        if lo < 0.0:
             raise InvalidProfileError("samples must be non-negative kilowatts")
         if not math.isfinite(self.t0):
             raise InvalidProfileError(f"t0 must be a finite number of seconds, got {self.t0}")
@@ -790,48 +792,45 @@ def _parse_loadtxt(
     return float(t[0]), float(dt), np.ascontiguousarray(p)
 
 
-def _parse_rows(
-    source: Union[bytes, str, IO, Iterable[str]], clamp_negative: bool
-) -> tuple[float, float, np.ndarray]:
-    """``(t0, dt, samples)`` from the CSV, one row at a time, with row-numbered errors."""
-    with _text_lines(source) as lines:
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError("no header row") from None
-        header = [h.strip().lstrip("\ufeff") for h in header]
-        if tuple(header) != CSV_HEADER:
-            raise MalformedRowError(
-                1, f"header must be 'timestamp,power_kw', got {','.join(header)!r}")
+def _parse_rows(lines: Iterable[str], clamp_negative: bool) -> tuple[float, float, np.ndarray]:
+    """``(t0, dt, samples)`` from lines of CSV text, one row at a time, with row-numbered errors."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError("no header row") from None
+    header = [h.strip().lstrip("\ufeff") for h in header]
+    if tuple(header) != CSV_HEADER:
+        raise MalformedRowError(
+            1, f"header must be 'timestamp,power_kw', got {','.join(header)!r}")
 
-        times: list[float] = []
-        powers: list[float] = []
-        rows: list[int] = []  # each sample's row number, for the grid checks
-        row_number = 1
-        for row in reader:
-            row_number += 1
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue  # tolerate a trailing blank line
-            if len(row) != 2:
-                raise MalformedRowError(row_number, f"expected 2 fields, got {len(row)}")
-            t = _parse_timestamp(row[0], row_number)
-            try:
-                p = float(row[1])
-            except ValueError:
-                raise MalformedRowError(row_number, f"unparseable power {row[1]!r}") from None
-            if not math.isfinite(p):
-                raise MalformedRowError(row_number, f"power must be finite, got {row[1]!r}")
-            if p < 0.0:
-                if not clamp_negative:
-                    raise NegativePowerError(
-                        f"row {row_number}: negative power {p} kW "
-                        "(pass clamp_negative=True to zero reverse flow)"
-                    )
-                p = 0.0
-            times.append(t)
-            powers.append(p)
-            rows.append(row_number)
+    times: list[float] = []
+    powers: list[float] = []
+    rows: list[int] = []  # each sample's row number, for the grid checks
+    row_number = 1
+    for row in reader:
+        row_number += 1
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # tolerate a trailing blank line
+        if len(row) != 2:
+            raise MalformedRowError(row_number, f"expected 2 fields, got {len(row)}")
+        t = _parse_timestamp(row[0], row_number)
+        try:
+            p = float(row[1])
+        except ValueError:
+            raise MalformedRowError(row_number, f"unparseable power {row[1]!r}") from None
+        if not math.isfinite(p):
+            raise MalformedRowError(row_number, f"power must be finite, got {row[1]!r}")
+        if p < 0.0:
+            if not clamp_negative:
+                raise NegativePowerError(
+                    f"row {row_number}: negative power {p} kW "
+                    "(pass clamp_negative=True to zero reverse flow)"
+                )
+            p = 0.0
+        times.append(t)
+        powers.append(p)
+        rows.append(row_number)
 
     if not times:
         raise EmptyInputError("no data rows")

@@ -90,7 +90,7 @@ def analyze_profile(
 
     derivative_hist = symmetry = classification = None
     if verdict.sc_suitable:
-        normalized = derivative(norm).normalized  # raw is dropped before the histogram
+        normalized = derivative(norm).normalized
         derivative_hist = histogram(normalized, bins=derivative_bins, symmetric=True)
         symmetry = symmetry_report(derivative_hist, tail_level)
         classification = classify(metrics, symmetry, load_hist, rules=rules,

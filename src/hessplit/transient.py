@@ -35,38 +35,41 @@ PROBE_LEVEL = 0.1
 
 @dataclass(frozen=True, eq=False)
 class DerivativeSeries:
-    """Forward differences of a per-unit series.
+    """Forward differences of a per-unit series, scaled so the largest swing is ±1.
 
-    ``raw`` is in pu/second and has one element fewer than the source.
-    ``normalized`` is ``raw / max(|raw|)`` so the largest swing is ±1;
+    ``normalized`` has one element fewer than the source. It is the pu/s
+    slope ``np.diff(norm.pu) / norm.dt`` divided by its largest magnitude;
     a constant source gives all-zero ``normalized`` instead of 0/0.
     """
 
-    raw: np.ndarray
     normalized: np.ndarray
     dt: float
     _owned: InitVar[bool] = False  # see freeze_arrays
 
     def __post_init__(self, _owned):
-        freeze_arrays(self, np.float64, "raw", "normalized", copy=not _owned)
+        freeze_arrays(self, np.float64, "normalized", copy=not _owned)
 
     @property
     def n_steps(self) -> int:
-        return int(self.raw.size)
+        return int(self.normalized.size)
 
 
 def derivative(norm: NormalizedProfile) -> DerivativeSeries:
     """Forward-difference derivative of a normalized profile.
 
-    ``raw[i] = (pu[i+1] - pu[i]) / dt``. Forward differences are used because
+    The slope is ``(pu[i+1] - pu[i]) / dt``. Forward differences are used because
     the dispatcher reacts to the upcoming step; centered schemes would smear
-    exactly the switch-on spikes this analysis exists to find.
+    exactly the switch-on spikes this analysis exists to find. Both divisions
+    run in place and give the bits of ``slope / peak``.
     """
-    raw = np.diff(norm.pu)
-    raw /= norm.dt
-    peak = _abs_max(raw)
-    normalized = raw / peak if peak > 0.0 else np.zeros_like(raw)
-    return DerivativeSeries(raw=raw, normalized=normalized, dt=norm.dt, _owned=True)
+    d = np.diff(norm.pu)
+    d /= norm.dt
+    peak = _abs_max(d)
+    if peak > 0.0:
+        d /= peak
+    else:  # every slope is ±0.0, and one that underflowed is -0.0
+        d.fill(0.0)
+    return DerivativeSeries(normalized=d, dt=norm.dt, _owned=True)
 
 
 def _abs_max(arr: np.ndarray):

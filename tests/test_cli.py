@@ -364,6 +364,18 @@ def test_dispatch_missing_config_file(capsys, profile_csv):
     assert "config file not found" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{sc_threshold: 0.6}", "is not valid JSON"),
+    ("[0.6]", "must hold a JSON object"),
+])
+def test_dispatch_config_not_a_json_object_exits_2(capsys, tmp_path, profile_csv, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "dispatch", str(profile_csv), "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config file {cfg} {message}")
+
+
 @pytest.mark.parametrize("config", [
     {"sc_engage_mode": "Bogus"},
     {"sc_threshold": "0.7"},
@@ -499,6 +511,12 @@ def test_sweep_bad_range_exit_code(capsys, profile_csv):
     code, _, err = run(capsys, "sweep", str(profile_csv), "--range", "0.9:0.5:0.1")
     assert code == 2
     assert "range lo" in err
+
+
+def test_sweep_non_numeric_range_exits_2(capsys, profile_csv):
+    code, out, err = run(capsys, "sweep", str(profile_csv), "--range", "a:0.9:0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: range parts must be numbers, got 'a:0.9:0.1'\n"
 
 
 # --- ups ---

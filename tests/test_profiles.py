@@ -70,6 +70,13 @@ def test_parse_iso_timestamps():
     assert p.n_samples == 3
 
 
+def test_iso_timestamp_without_offset_reads_as_utc():
+    naive = parse_profile("timestamp,power_kw\n2024-01-01T00:00:00,1\n2024-01-01T00:00:01,2\n")
+    utc = parse_profile("timestamp,power_kw\n2024-01-01T00:00:00Z,1\n2024-01-01T00:00:01Z,2\n")
+    assert naive.t0 == utc.t0 == 1704067200.0
+    assert naive == utc
+
+
 def test_parse_accepts_bytes_and_file_objects():
     text = "timestamp,power_kw\n0,1\n1,2\n"
     from_bytes = parse_profile(text.encode("utf-8"))
@@ -221,6 +228,23 @@ def test_profile_validation():
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array([1 + 5j, 2j, 3.0]))
     with pytest.raises(InvalidProfileError, match="real numbers: could not convert"):
         LoadProfile(site_id="x", t0=0.0, dt=1.0, samples="abc")
+
+
+def test_two_dimensional_samples_are_rejected():
+    with pytest.raises(InvalidProfileError, match="^samples must be a one-dimensional sequence$"):
+        LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([1.0, -2.0], "samples must be non-negative kilowatts"),
+    ([-2.0, np.nan], "samples must all be finite"),
+    ([np.inf, -2.0], "samples must all be finite"),
+    ([-np.inf, 1.0], "samples must all be finite"),
+    ([np.nan, np.nan], "samples must all be finite"),
+])
+def test_non_finite_samples_are_named_before_negative_ones(samples, message):
+    with pytest.raises(InvalidProfileError, match=f"^{message}$"):
+        LoadProfile(site_id="x", t0=0.0, dt=1.0, samples=np.array(samples))
 
 
 @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, "0", True])
@@ -452,7 +476,8 @@ def _outcome(parse):
 
 def _reference(source, clamp):
     def parse():
-        t0, dt, samples = _parse_rows(source, clamp)
+        lines = io.StringIO(source, newline="") if isinstance(source, str) else source
+        t0, dt, samples = _parse_rows(lines, clamp)
         return LoadProfile(site_id="", t0=t0, dt=dt, samples=samples)
     return parse
 

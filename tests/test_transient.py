@@ -31,8 +31,9 @@ def _norm(pu, dt=1.0):
 
 def test_derivative_example():
     d = derivative(_norm([0.0, 0.5, 1.0, 0.25], dt=2.0))
-    assert np.array_equal(d.raw, [0.25, 0.25, -0.375])
+    # the pu/s slope is [0.25, 0.25, -0.375]
     assert np.array_equal(d.normalized, [0.25 / 0.375, 0.25 / 0.375, -1.0])
+    assert d.dt == 2.0
 
 
 def test_derivative_has_one_fewer_element():
@@ -42,8 +43,13 @@ def test_derivative_has_one_fewer_element():
 
 def test_derivative_of_constant_is_zero_not_nan():
     d = derivative(_norm([0.5, 0.5, 0.5]))
-    assert np.array_equal(d.raw, [0.0, 0.0])
-    assert np.array_equal(d.normalized, [0.0, 0.0])
+    assert d.normalized.tobytes() == np.zeros(2).tobytes()  # +0.0, not NaN or -0.0
+
+
+def test_derivative_of_underflowed_slopes_is_positive_zero():
+    # a one-ulp fall over 1e308 s is a -0.0 pu/s slope, and the largest swing is 0
+    d = derivative(_norm([1.0, np.nextafter(1.0, 0.0), 1.0], dt=1e308))
+    assert d.normalized.tobytes() == np.zeros(2).tobytes()
 
 
 @pytest.mark.parametrize("samples", [
@@ -55,9 +61,8 @@ def test_derivative_equals_its_abs_max_form(samples):
     raw = np.diff(norm.pu) / 0.5
     peak = np.abs(raw).max()
     want = raw / peak if peak > 0.0 else np.zeros_like(raw)
-    assert d.raw.tobytes() == raw.tobytes()
     assert d.normalized.tobytes() == want.tobytes()
-    assert not (d.raw.flags.writeable or d.normalized.flags.writeable)
+    assert not d.normalized.flags.writeable
 
 
 def test_derivative_normalized_peak_is_one(rng):
@@ -70,7 +75,7 @@ def test_derivative_time_reversal_flips_sign(rng):
     pu = rng.uniform(0.0, 1.0, size=64)
     fwd = derivative(_norm(pu))
     rev = derivative(_norm(pu[::-1]))
-    assert np.array_equal(rev.raw, -fwd.raw[::-1])
+    assert np.array_equal(rev.normalized, -fwd.normalized[::-1])
 
 
 def test_derivative_scale_invariant_in_pu():
