@@ -123,6 +123,12 @@ def base_load_estimate(norm: NormalizedProfile, *, bins: int = BASE_LOAD_BINS) -
     all, the estimate degenerates to 1.0 and a
     :class:`DegenerateBaseLoadWarning` is emitted.
     """
+    _check_base_bins(norm, bins)
+    return _base_level(norm, *blocked_histogram(norm.pu, bins, (0.0, 1.0)))
+
+
+def _check_base_bins(norm: NormalizedProfile, bins: int) -> None:
+    """The checks :func:`base_load_estimate` runs on ``bins`` before it counts."""
     check_integer(bins, "bins")
     if bins < 10:
         raise InvalidConfigError(f"base-load histogram needs >= 10 bins, got {bins}")
@@ -131,7 +137,10 @@ def base_load_estimate(norm: NormalizedProfile, *, bins: int = BASE_LOAD_BINS) -
             f"base-load estimate needs at least one sample per bin "
             f"({norm.n_samples} samples < {bins} bins)"
         )
-    counts, edges = blocked_histogram(norm.pu, bins, (0.0, 1.0))
+
+
+def _base_level(norm: NormalizedProfile, counts: np.ndarray, edges: np.ndarray) -> float:
+    """:func:`base_load_estimate` from the counts and edges of its histogram of ``norm.pu``."""
     centers = (edges[:-1] + edges[1:]) / 2.0
     below = centers < PEAK_BAND_PU
     if not np.any(counts[below] > 0):
@@ -210,12 +219,13 @@ def compute_metrics(profile: LoadProfile, *, bins: int = BASE_LOAD_BINS) -> Prof
     estimate degenerates to 1.0 (nothing below the peak band) the peak
     statistics fall back to level 0 so they stay defined.
     """
-    return _compute_metrics(profile, normalize(profile), bins)
+    norm = normalize(profile)
+    return _compute_metrics(profile, norm, base_load_estimate(norm, bins=bins))
 
 
-def _compute_metrics(profile: LoadProfile, norm: NormalizedProfile, bins: int) -> ProfileMetrics:
-    """:func:`compute_metrics` of a profile whose normalized form is ``norm``."""
-    base = base_load_estimate(norm, bins=bins)
+def _compute_metrics(profile: LoadProfile, norm: NormalizedProfile, base: float) -> ProfileMetrics:
+    """:func:`compute_metrics` of a profile whose normalized form is ``norm``
+    and whose base-load estimate is ``base``."""
     peaks = peak_stats(norm, base) if base < 1.0 else peak_stats(norm, 0.0)
     return ProfileMetrics(
         site_id=profile.site_id,

@@ -11,7 +11,11 @@ which numpy reads in chunks, not line by line); anything that path cannot
 take as it is (ISO timestamps, quoting, a bad or odd row, a failed check) is
 re-read from the start by the row parser, which is the reference: it alone
 writes error messages, and it alone reads ISO timestamps. Other iterables of
-lines go to the row parser directly.
+lines go to the row parser directly. One function, :func:`_first_off_grid`,
+decides the uniform-grid rule, a block of timestamps at a time: the numpy path
+runs it on its parsed time column, the row parser on its timestamps (and
+names the row of the index it returns), and :class:`LoadProfile` on the
+timestamps its ``t0`` and ``dt`` give.
 
 Every CSV this package writes is rendered by :func:`csv_bytes`, a few
 thousand rows at a time, from numpy columns. Each field is the ``repr`` of
@@ -412,7 +416,9 @@ def _column_renderer(col: Union[np.ndarray, _TimeColumn]) -> Callable[[int, int]
 
     Deciding on a table costs memory in proportion to the whole column, not
     to a block: one sorted copy of the keys and a byte mask. The distinct
-    keys are compacted only once the count has passed.
+    keys are compacted only once the count has passed, and their fields are
+    rendered :data:`CSV_BLOCK_ROWS` keys at a time, so the float kernel's
+    temporaries are a block's even when the table is long.
     """
     if isinstance(col, _TimeColumn):
         return lambda s, e: _fields(_sample_times(col.t0, col.dt, e, s))
@@ -439,7 +445,12 @@ def _column_renderer(col: Union[np.ndarray, _TimeColumn]) -> Callable[[int, int]
     if np.count_nonzero(run_start) > n // _TABLE_FRACTION:
         return plain
     distinct = distinct[run_start]
-    table = _left_aligned(_fields(distinct.view(col.dtype)))
+    starts = range(0, len(distinct), CSV_BLOCK_ROWS)
+    blocks = [_left_aligned(_fields(distinct[s:s + CSV_BLOCK_ROWS].view(col.dtype)))
+              for s in starts]
+    table = np.zeros((len(distinct), max(b.shape[1] for b in blocks)), np.uint8)
+    for s, block in zip(starts, blocks):
+        table[s:s + len(block), :block.shape[1]] = block
 
     def tabled(s, e):
         return table[np.searchsorted(distinct, keys[s:e])]
@@ -573,11 +584,10 @@ class LoadProfile:
         if not math.isfinite(self.t0):
             raise InvalidProfileError(f"t0 must be a finite number of seconds, got {self.t0}")
         check_dt(self.dt)
-        with np.errstate(over="ignore"):  # an infinite timestamp fails the grid check
-            times = _sample_times(self.t0, self.dt, arr.size)
-        if not _uniform_grid(times):  # the canonical CSV would not read back
+        n = arr.size  # off the grid, the canonical CSV would not read back
+        if _first_off_grid(lambda s, e: _sample_times(self.t0, self.dt, e, s), n) < n:
             raise InvalidProfileError(
-                f"t0={self.t0!r} and dt={self.dt!r} s do not give {arr.size} finite, evenly "
+                f"t0={self.t0!r} and dt={self.dt!r} s do not give {n} finite, evenly "
                 f"spaced timestamps: gaps must stay within {GRID_TOLERANCE_S} s of dt")
         with np.errstate(over="ignore"):
             total = float(arr.sum())
@@ -624,16 +634,24 @@ def _sample_times(t0: float, dt: float, n: int, start: int = 0) -> np.ndarray:
     return times
 
 
-def _uniform_grid(t: np.ndarray) -> bool:
-    """Whether two or more timestamps pass the row parser's grid checks: all
-    finite, the first gap above 0, and every gap within
-    :data:`GRID_TOLERANCE_S` of the first."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails below
-        gaps = np.diff(t)
-        first = gaps[0]
-        gaps -= first  # a later timestamp is finite when t[0] and every gap are
-        return bool(np.isfinite(t[0]) and first > 0.0
-                    and np.abs(gaps, out=gaps).max() <= GRID_TOLERANCE_S)
+def _first_off_grid(times: Callable[[int, int], np.ndarray], n: int) -> int:
+    """The index of the first of ``n >= 2`` timestamps off a uniform grid, or ``n``.
+
+    ``times(start, end)`` gives timestamps ``start:end``. On the grid the first
+    timestamp and gap are finite, that gap is above 0, and every later gap is
+    within :data:`GRID_TOLERANCE_S` of it; a bad start gives 1. The gaps are
+    read :data:`CSV_BLOCK_ROWS` at a time, so no whole time column is held.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gap fails the test
+        t0, t1 = times(0, 2)
+        first = t1 - t0
+        if not (np.isfinite(t0) and 0.0 < first < np.inf):
+            return 1
+        for s in range(2, n, CSV_BLOCK_ROWS):
+            off = np.abs(np.diff(times(s - 1, min(s + CSV_BLOCK_ROWS, n))) - first)
+            if not off.max() <= GRID_TOLERANCE_S:  # NaN fails too
+                return s + int(np.argmin(off <= GRID_TOLERANCE_S))
+    return n
 
 
 @dataclass(frozen=True)
@@ -781,7 +799,7 @@ def _parse_loadtxt(
     if table.shape[1:] != (2,) or table.shape[0] < 2:
         return None
     t, p = table[:, 0], table[:, 1]
-    if not (_uniform_grid(t) and np.isfinite(p).all()):
+    if _first_off_grid(lambda s, e: t[s:e], len(t)) < len(t) or not np.isfinite(p).all():
         return None
     dt = t[1] - t[0]
     if clamp_negative:
@@ -838,15 +856,15 @@ def _parse_rows(lines: Iterable[str], clamp_negative: bool) -> tuple[float, floa
         raise InvalidProfileError("a load profile needs at least 2 samples")
 
     dt = times[1] - times[0]
-    if dt <= 0.0:
+    i = _first_off_grid(lambda s, e: np.array(times[s:e]), len(times))
+    if i == 1 and dt <= 0.0:
         raise NonUniformGridError(
             f"timestamps not strictly increasing at row {rows[1]} (dt={dt})")
-    for i in range(2, len(times)):  # the first gap is dt itself
+    i = max(i, 2)  # an infinite dt fails at 1; it is reported at the next gap, if any
+    if i < len(times):
         gap = times[i] - times[i - 1]
-        if not abs(gap - dt) <= GRID_TOLERANCE_S:
-            raise NonUniformGridError(
-                f"row {rows[i]}: gap {gap} s deviates from inferred interval {dt} s"
-            )
+        raise NonUniformGridError(
+            f"row {rows[i]}: gap {gap} s deviates from inferred interval {dt} s")
     return times[0], dt, np.array(powers)
 
 

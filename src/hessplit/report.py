@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedReportError
-from .metrics import ProfileMetrics, _compute_metrics, normalize
+from .metrics import ProfileMetrics, _base_level, _check_base_bins, _compute_metrics, normalize
 from .profiles import (
     Category,
     LoadProfile,
@@ -85,8 +85,10 @@ def analyze_profile(
     input_sha256 = _csv_sha256(profile)
     verdict = validate_resolution(profile)
     norm = normalize(profile)
-    metrics = _compute_metrics(profile, norm, bins)
+    _check_base_bins(norm, bins)  # the base-load estimate's checks come before the histogram's
     load_hist = histogram(norm.pu, bins=bins, range=(0.0, 1.0))
+    # the estimate counts pu as the load histogram does: the same call, the same counts
+    metrics = _compute_metrics(profile, norm, _base_level(norm, load_hist.counts, load_hist.edges))
 
     derivative_hist = symmetry = classification = None
     if verdict.sc_suitable:

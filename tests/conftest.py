@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hessplit import LoadProfile
+from hessplit import LoadProfile, dispatch
 
 
 @pytest.fixture
@@ -55,3 +57,30 @@ def dyadic_samples(rng, n, mantissa_bits=20, scale_bits=10):
 def dyadic_factor(rng):
     """A random scale factor k in (0, 1e6] exactly representable as m/64."""
     return float(rng.integers(1, 64_000_000)) / 64.0
+
+
+#: The DeviceParams fields in kW, kWh or kW/s.
+DEVICE_UNIT_FIELDS = ("vrfb_power_kw", "vrfb_energy_kwh", "vrfb_ramp_kw_per_s", "sc_power_kw",
+                      "sc_energy_kwh", "sc_recharge_power_kw", "vrfb_recharge_power_kw")
+#: The DispatchResult traces in kW or kWh.
+DISPATCH_UNIT_TRACES = ("p_load_kw", "p_grid_kw", "p_sc_kw", "p_vrfb_kw", "soc_sc_kwh",
+                        "soc_vrfb_kwh")
+
+
+def assert_dispatch_scales(norm, cfg, dev, k):
+    """Scaling the base power and every device power, energy and ramp by the
+    power of two ``k`` scales each of the six traces by ``k``, bit for bit,
+    and leaves the SC flags as they are.
+
+    Every expression of the dispatch contract is a product, quotient, sum,
+    ``min``/``max`` or floor of kW or kWh terms, so a power of two passes
+    through each of them exactly while nothing overflows or goes subnormal.
+    The recharge threshold is per unit, so it is not scaled.
+    """
+    scaled_dev = replace(dev, **{name: getattr(dev, name) * k for name in DEVICE_UNIT_FIELDS
+                                 if getattr(dev, name) is not None})
+    ref = dispatch(norm, cfg, dev)
+    got = dispatch(replace(norm, base_power_kw=norm.base_power_kw * k), cfg, scaled_dev)
+    for name in DISPATCH_UNIT_TRACES:
+        assert getattr(got, name).tobytes() == (getattr(ref, name) * k).tobytes(), name
+    assert got.flag_sc.tobytes() == ref.flag_sc.tobytes()

@@ -21,6 +21,7 @@ from hessplit import (
     DeviceParams,
     EmsConfig,
     EngageMode,
+    EvParkSpec,
     Limiting,
     LoadProfile,
     MachineSpec,
@@ -55,6 +56,7 @@ from hessplit.errors import (
 )
 from hessplit.metrics import NormalizedProfile
 from hessplit.transient import DerivativeSeries
+from conftest import assert_dispatch_scales
 from oracle import (
     _largest_sustainable,
     _wind_down_sum,
@@ -354,6 +356,40 @@ def test_dispatch_matches_naive_oracle(rng):
         assert res.p_grid_kw.tobytes() == np.array(o_g).tobytes()
         assert res.soc_sc_kwh.tobytes() == np.array(o_ssc).tobytes()
         assert res.soc_vrfb_kwh.tobytes() == np.array(o_sv).tobytes()
+
+
+# --- exact power-of-two scaling ---
+
+_ARCHETYPE_DAYS = [normalize(generate(spec(days=1))[0])
+                   for spec in (MunicipalSpec, MachineSpec, EvParkSpec)]
+_UNIT_ENERGIES = st.sampled_from([10.0, 0.01, 1e-4, math.inf])
+_SCALED_DEVICES = st.fixed_dictionaries(dict(
+    vrfb_power_kw=st.sampled_from([5.0, 30.0, 0.7]),
+    vrfb_energy_kwh=_UNIT_ENERGIES,
+    vrfb_ramp_kw_per_s=st.sampled_from([2.5, 1e-3, math.inf]),
+    sc_power_kw=st.sampled_from([5.0, 20.0]),
+    sc_energy_kwh=_UNIT_ENERGIES,
+    sc_initial_soc_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    vrfb_initial_soc_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    sc_recharge_power_kw=st.sampled_from([None, 2.0]),
+    vrfb_recharge_power_kw=st.sampled_from([None, 1.5]),
+    sc_efficiency=st.sampled_from([1.0, 0.9]),
+    vrfb_efficiency=st.sampled_from([1.0, 0.85]),
+)).filter(lambda d: not any(d[f"{x}_energy_kwh"] == math.inf
+                            and d[f"{x}_initial_soc_fraction"] == 0.0 for x in ("sc", "vrfb"))
+          ).map(lambda d: DeviceParams(**d))
+
+
+@settings(max_examples=10, deadline=None)  # about 0.2 s each: two 1-day dispatches
+@given(norm=st.sampled_from(_ARCHETYPE_DAYS),
+       k=st.integers(-10, 10).map(lambda e: 2.0 ** e),
+       recharge=st.sampled_from([None, 0.0, 0.3]),
+       mode=st.sampled_from(list(EngageMode)),
+       dev=_SCALED_DEVICES)
+def test_dispatch_scales_by_powers_of_two(norm, k, recharge, mode, dev):
+    # a check that does not lean on the oracle's wording of the contract
+    assert_dispatch_scales(norm, EmsConfig(recharge_threshold=recharge, sc_engage_mode=mode),
+                           dev, k)
 
 
 # --- battery-empty runs ---

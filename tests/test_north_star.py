@@ -9,6 +9,7 @@ seconds and a few hundred MB, so the module runs only when asked:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from functools import lru_cache
@@ -29,6 +30,7 @@ from hessplit import (
     threshold_sweep,
 )
 from hessplit.cli import _parse_range
+from conftest import assert_dispatch_scales
 from oracle import naive_dispatch
 
 pytestmark = pytest.mark.skipif(
@@ -79,3 +81,17 @@ def test_sweep_rows_equal_dispatch(kind):
     assert len(rows) == 5
     for thr, stats in rows:
         assert repr(stats) == repr(dispatch(norm, replace(cfg, sc_threshold=thr)).stats), thr
+
+
+@pytest.mark.parametrize("k", [2.0 ** -10, 2.0 ** 10])
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_dispatch_scales_by_powers_of_two(kind, k):
+    # tests/test_ems.py's oracle-free scaling check at this size: the default
+    # devices with the recharge threshold dispatch resolves, and a sized, lossy
+    # set with an infinite VRFB energy at a fixed threshold
+    norm = _norm(kind)
+    assert_dispatch_scales(norm, EmsConfig(), DeviceParams(), k)
+    sized = DeviceParams(vrfb_power_kw=30.0, vrfb_energy_kwh=math.inf, vrfb_ramp_kw_per_s=5.0,
+                         sc_power_kw=20.0, sc_energy_kwh=0.5, sc_efficiency=0.9,
+                         vrfb_efficiency=0.85)
+    assert_dispatch_scales(norm, EmsConfig(recharge_threshold=0.3), sized, k)

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,21 @@ def test_grid_errors_count_blank_lines(tmp_path, text, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("at", [2, 4096, 4097, 4098, 9_999])
+def test_grid_error_names_its_row_in_any_block(at):
+    # the grid check reads its gaps a block of CSV_BLOCK_ROWS at a time; the
+    # first gap off the grid is named wherever it falls, by both parse paths
+    times = np.arange(10_000.0)
+    times[at:] += 0.0015
+    times[-1] += 5.0  # a later gap off the grid too
+    text = "timestamp,power_kw\n" + "".join(f"{t!r},1\n" for t in times.tolist())
+    for source in (text, io.StringIO(text).readlines()):
+        with pytest.raises(NonUniformGridError) as err:
+            parse_profile(source)
+        gap = float(times[at] - times[at - 1])
+        assert str(err.value) == f"row {at + 2}: gap {gap} s deviates from inferred interval 1.0 s"
+
+
 def test_grid_tolerates_millisecond_jitter():
     p = parse_profile("timestamp,power_kw\n0.0,1\n1.0004,1\n2.0,1\n")
     assert p.n_samples == 3
@@ -276,6 +292,19 @@ def test_large_epoch_grid_is_accepted():
     back = parse_profile(profile_to_csv(p), site_id="x")
     assert (back.t0, back.n_samples) == (p.t0, p.n_samples)
     assert abs(back.dt - p.dt) < 1e-6
+
+
+def test_grid_check_holds_no_time_column():
+    # LoadProfile checks its grid a block of timestamps at a time: the whole
+    # time column and its gaps took 16 bytes per sample
+    samples = np.ones(12 * 86_400)
+    tracemalloc.start()
+    try:
+        LoadProfile(site_id="x", t0=1.6e9, dt=1.0, samples=samples, _owned=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= samples.size
 
 
 @pytest.mark.parametrize("t0, dt", [

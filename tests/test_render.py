@@ -208,6 +208,26 @@ def test_deciding_against_a_table_holds_no_distinct_keys(rng):
     assert peak < 10 * n
 
 
+def test_a_long_table_renders_its_keys_in_blocks(rng):
+    # half the rows 0.0 and 23,628 distinct values, under the table limit of
+    # n // 8: the column is tabled. The float kernel's temporaries are about
+    # 311 bytes per value, so rendering every key at once peaked at 38.7 bytes
+    # per row; a block of keys at a time leaves the decision's sorted keys and
+    # mask as the peak, 10.0
+    n = 200_000
+    col = rng.choice(rng.uniform(0.0, 250.0, size=n // 8 - 1000), size=n)
+    col[rng.random(n) < 0.5] = 0.0
+    sink = io.StringIO()
+    sink.write = len  # the text is not kept
+    tracemalloc.start()
+    try:
+        write_csv(sink, ["x"], [col])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n
+
+
 def test_many_repeated_values_are_still_tabled(monkeypatch, rng):
     # n // 32 distinct values in random order: most of those in the sample
     # are seen there once, yet each repeats about 32 times in the column
